@@ -63,6 +63,10 @@ class UndefinedGradientError(LacunaError):
 class InsufficientDataError(LacunaError):
     kind = "insufficient-data"
 
+    def __init__(self, message: str, skipped: tuple = ()):
+        super().__init__(message)
+        self.skipped = skipped
+
 
 class PreconditionError(LacunaError):
     kind = "precondition"

@@ -1,10 +1,10 @@
 """Numerical search for extremal Khintchine ratios.
 
 Maximizes the L^p over L^2 norm ratio of chaos polynomials with a
-projected gradient ascent on the unit coefficient sphere, fits the
-growth exponent of the best ratio against p, and probes the blow-up
-of the ratio when the underlying sequence sits at the critical
-lacunarity threshold.
+power iteration on the unit coefficient sphere, fits the growth
+exponent of the best ratio against p, and probes the blow-up of the
+ratio when the underlying sequence sits at the critical lacunarity
+threshold.
 """
 
 from __future__ import annotations
@@ -37,10 +37,21 @@ from .walsh import _fwht, _reversed_mask
 
 EPS_REG = 1e-14
 MAX_PROBE_TERM = 1_000_000
+# the tangent part of a gradient this much smaller than the gradient is
+# roundoff: the all-equal start on a full dyadic family sits near 2e-16
+STATIONARY_TOL = 1e-12
+SMALL_GAIN = 1e-10
 
 
 @dataclass(frozen=True)
 class ExtremalConfig:
+    """Search settings.
+
+    ``step`` is validated and serialized so that configurations and
+    reports keep their shape, but the power iteration takes no step
+    size and does not read it.
+    """
+
     restarts: int = 3
     max_iter: int = 150
     step: float = 0.5
@@ -71,8 +82,12 @@ class ExtremalResult:
     ratio: float
     p: float
     iterations: int
-    converged: bool
+    stop_reason: str  # "stationary", "no-ascent", "small-gain" or "max-iter"
     kind: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max-iter"
 
     def to_json_dict(self) -> dict:
         if self.kind == "walsh":
@@ -90,6 +105,7 @@ class ExtremalResult:
             "ratio": self.ratio,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "kind": self.kind,
             "coefficients": coeffs,
         }
@@ -199,13 +215,6 @@ def _raw_gradient(space, vec: np.ndarray, p: float) -> np.ndarray:
     return p * space.adjoint_mean(weights)
 
 
-def _true_ratio(space, vec: np.ndarray, p: float) -> float:
-    v = np.abs(space.values(vec))
-    mean_sq = float(np.mean(v**2))
-    mean_p = float(np.mean(v**p))
-    return mean_p ** (1.0 / p) / mean_sq**0.5
-
-
 def ratio_gradient(
     coeffs: dict, index_set: ChaosIndexSet, p: float, grid_oversample: int = 8
 ) -> dict:
@@ -235,38 +244,57 @@ def ratio_gradient(
     return {m: g for m, g in zip(values, grad)}
 
 
-def _ascend(space, vec: np.ndarray, p: float, config: ExtremalConfig):
-    vec = vec / np.linalg.norm(vec)
-    val = _objective(space, vec, p)
-    converged = False
-    it = 0
-    for it in range(1, config.max_iter + 1):
-        grad = _raw_gradient(space, vec, p)
-        radial = np.real(np.vdot(vec, grad))
-        tangent = grad - radial * vec
-        if np.linalg.norm(tangent) < 1e-14:
-            converged = True
-            break
-        step = config.step
-        cand = None
-        cand_val = val
-        while step > 1e-12:
-            trial = vec + step * tangent
-            trial = trial / np.linalg.norm(trial)
-            trial_val = _objective(space, trial, p)
-            if trial_val > val:
-                cand, cand_val = trial, trial_val
-                break
-            step *= 0.5
-        if cand is None:
-            converged = True
-            break
-        gain = (cand_val - val) / val
-        vec, val = cand, cand_val
-        if gain < 1e-10:
-            converged = True
-            break
-    return vec, it, converged
+def _power_state(space, vec: np.ndarray, p: float):
+    """log F, the L^p/L^2 ratio and a positive multiple of grad F at vec.
+
+    One forward and one adjoint transform.  Grid values are scaled by
+    their largest modulus M before any power is taken, so nothing
+    overflows at large p: F = M^p mean(((|v|^2 + eps) / M^2)^(p/2)), and
+    the gradient comes back divided by p M^(p-1).  Work arrays are
+    updated in place, and dropped before the adjoint, to keep at most
+    three grid-sized arrays alive.
+    """
+    v = space.values(vec)
+    s = np.abs(v)
+    m = float(s.max())
+    s /= m
+    s *= s
+    ratio = float(np.mean(s ** (p / 2))) ** (1.0 / p) / float(np.mean(s)) ** 0.5
+    s += EPS_REG / m**2
+    log_f = p * np.log(m) + np.log(float(np.mean(s ** (p / 2))))
+    s **= (p - 2) / 2
+    v /= m
+    weights = s * v
+    del s, v
+    return log_f, ratio, space.adjoint_mean(weights)
+
+
+def _ascend(space, vec: np.ndarray, state, p: float, max_iter: int):
+    """Power iteration c <- grad F(c) / |grad F(c)| from the unit vector vec.
+
+    F is convex, so by Cauchy-Schwarz no step lowers it and no step
+    size is needed.  ``state`` is ``_power_state`` at vec.  Returns the
+    iterate with the highest ratio (so never worse than the start), that
+    ratio, the iteration count and the stop reason.
+    """
+    log_f, ratio, grad = state
+    best_vec, best_ratio = vec, ratio
+    for it in range(1, max_iter + 1):
+        grad_norm = np.linalg.norm(grad)
+        tangent = grad - np.real(np.vdot(vec, grad)) * vec
+        if np.linalg.norm(tangent) <= STATIONARY_TOL * grad_norm:
+            return best_vec, best_ratio, it, "stationary"
+        cand = grad / grad_norm
+        cand_log_f, ratio, grad = _power_state(space, cand, p)
+        if not cand_log_f > log_f:
+            return best_vec, best_ratio, it, "no-ascent"
+        gain = np.expm1(cand_log_f - log_f)
+        vec, log_f = cand, cand_log_f
+        if ratio > best_ratio:
+            best_vec, best_ratio = vec, ratio
+        if gain < SMALL_GAIN:
+            return best_vec, best_ratio, it, "small-gain"
+    return best_vec, best_ratio, max_iter, "max-iter"
 
 
 def _equal_start(space) -> np.ndarray:
@@ -287,6 +315,7 @@ def _random_start(space, seed_pair) -> np.ndarray:
 
 
 def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig):
+    """Best ratio over the restarts, and the all-equal start's ratio."""
     if p <= 2:
         raise InvalidInputError("p must exceed 2")
     config.validate()
@@ -298,55 +327,61 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
         # a single frequency has constant modulus, so the ratio is 1 by
         # definition and no search is needed
         coeff = 1.0 if dyadic else complex(1.0)
-        return ExtremalResult(
+        result = ExtremalResult(
             coefficients={values[0]: coeff},
             ratio=1.0,
             p=float(p),
             iterations=0,
-            converged=True,
+            stop_reason="stationary",
             kind=kind,
         )
+        return result, 1.0
     space = _make_space(values, dyadic, config.oversample)
     equal = _equal_start(space)
-    best_vec = equal
-    best_ratio = _true_ratio(space, equal, p)
-    best_iters = 0
-    best_conv = True
-    for r in range(config.restarts):
-        start = equal if r == 0 else _random_start(space, (config.seed, r))
-        vec, iters, conv = _ascend(space, start, p, config)
-        ratio = _true_ratio(space, vec, p)
-        if ratio > best_ratio:
-            best_vec, best_ratio = vec, ratio
-            best_iters, best_conv = iters, conv
+    equal_state = _power_state(space, equal, p)
+    runs = [_ascend(space, equal, equal_state, p, config.max_iter)]
+    for r in range(1, config.restarts):
+        start = _random_start(space, (config.seed, r))
+        state = _power_state(space, start, p)
+        runs.append(_ascend(space, start, state, p, config.max_iter))
+    # max keeps the earliest of equal ratios, so ties go to the warm start
+    best_vec, best_ratio, best_iters, best_reason = max(runs, key=lambda run: run[1])
     if space.complex_coeffs:
         coefficients = {m: complex(c) for m, c in zip(values, best_vec)}
     else:
         coefficients = {m: float(c) for m, c in zip(values, best_vec)}
-    return ExtremalResult(
+    result = ExtremalResult(
         coefficients=coefficients,
         ratio=float(best_ratio),
         p=float(p),
         iterations=best_iters,
-        converged=best_conv,
+        stop_reason=best_reason,
         kind=kind,
     )
+    return result, float(equal_state[1])
 
 
 def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     """Best found L^p/L^2 ratio over unit coefficient vectors.
 
-    Projected gradient ascent on the unit sphere with backtracking line
-    search, restarted from the all-equal vector and from seeded Gaussian
-    draws.  The all-equal vector itself is kept as a candidate, so the
-    returned ratio never falls below that certified warm start.
+    Power iteration on the unit sphere, c <- grad F(c) / |grad F(c)|
+    for F(c) = mean (|S_c|^2 + eps)^(p/2), started from the all-equal
+    vector and from seeded Gaussian draws.  Each run stops when the
+    gradient is stationary, a step does not raise F, the relative gain
+    falls under 1e-10, or ``max_iter`` is reached; ``stop_reason`` says
+    which.  Each run keeps its best iterate and the first run starts at
+    the all-equal vector, so the returned ratio never falls below that
+    certified warm start.
     """
     if isinstance(index_set, ChaosFamily):
         index_set = index_set.index_set()
     if not isinstance(index_set, ChaosIndexSet):
         raise InvalidInputError("expected a ChaosIndexSet or ChaosFamily")
     config = config or ExtremalConfig()
-    return _maximize_over_values(index_set.values(), index_set.is_dyadic, p, config)
+    result, _ = _maximize_over_values(
+        index_set.values(), index_set.is_dyadic, p, config
+    )
+    return result
 
 
 @dataclass(frozen=True)
@@ -357,6 +392,7 @@ class GrowthReport:
     p_values: tuple
     ratios: tuple
     probe_ratios: tuple
+    skipped: tuple = ()  # (p, error class name) of each exponent that failed
     config: ExtremalConfig = field(default_factory=ExtremalConfig)
 
     def to_json_dict(self) -> dict:
@@ -367,6 +403,7 @@ class GrowthReport:
             "slope": self.slope,
             "residual": self.residual,
             "probe_slope": self.probe_slope,
+            "skipped": [{"p": p, "error": name} for p, name in self.skipped],
             "seed": self.config.seed,
             "config": self.config.to_json_dict(),
         }
@@ -389,7 +426,10 @@ def growth_exponent(
 
     The headline slope comes from the optimized ratios.  A secondary
     slope tracks the all-equal probe vector, the classical near-extremal
-    shape, to show how much of the growth the search itself adds.
+    shape, to show how much of the growth the search itself adds; its
+    ratio comes from the search's first evaluation, not a separate
+    transform.  An exponent whose search raises a ``LacunaError`` is
+    left out of the fit and listed in ``skipped``.
     """
     p_list = list(p_list)
     if len(p_list) < 4:
@@ -410,25 +450,24 @@ def growth_exponent(
     used_p = []
     ratios = []
     probe_ratios = []
-    probe_space = None
+    skipped = []
     for p in p_list:
         try:
-            result = _maximize_over_values(values, index_set.is_dyadic, p, config)
-            if len(values) == 1:
-                probe = 1.0
-            else:
-                if probe_space is None:
-                    probe_space = _make_space(
-                        values, index_set.is_dyadic, config.oversample
-                    )
-                probe = _true_ratio(probe_space, _equal_start(probe_space), p)
-        except LacunaError:
+            result, probe = _maximize_over_values(
+                values, index_set.is_dyadic, p, config
+            )
+        except LacunaError as exc:
+            skipped.append((float(p), type(exc).__name__))
             continue
         used_p.append(float(p))
         ratios.append(result.ratio)
         probe_ratios.append(probe)
     if len(used_p) < 2:
-        raise InsufficientDataError("fewer than 2 exponents optimized successfully")
+        raise InsufficientDataError(
+            "fewer than 2 exponents optimized successfully; skipped "
+            + ", ".join(f"p={p:g} ({name})" for p, name in skipped),
+            skipped=tuple(skipped),
+        )
     logs_p = np.log(used_p)
     slope, residual = _fit_line(logs_p, np.log(ratios))
     probe_slope, _ = _fit_line(logs_p, np.log(probe_ratios))
@@ -439,6 +478,7 @@ def growth_exponent(
         p_values=tuple(used_p),
         ratios=tuple(ratios),
         probe_ratios=tuple(probe_ratios),
+        skipped=tuple(skipped),
         config=config,
     )
 
@@ -544,10 +584,14 @@ def blowup_probe(
     control_values = _budget_values(control_seq, l, budgets[-1])
     rows = []
     for budget in budgets:
-        r_crit = _maximize_over_values(crit_values[:budget], False, p, config).ratio
-        r_ctrl = _maximize_over_values(control_values[:budget], False, p, config).ratio
+        r_crit, _ = _maximize_over_values(crit_values[:budget], False, p, config)
+        r_ctrl, _ = _maximize_over_values(control_values[:budget], False, p, config)
         rows.append(
-            BlowupRow(budget=budget, ratio_critical=r_crit, ratio_control=r_ctrl)
+            BlowupRow(
+                budget=budget,
+                ratio_critical=r_crit.ratio,
+                ratio_control=r_ctrl.ratio,
+            )
         )
     ratios_crit = [r.ratio_critical for r in rows]
     nondecreasing = all(

@@ -123,8 +123,7 @@ def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
     if p == 2:
         return S.norm2()
     N = oversample * (2 * S.degree + 1)
-    values = evaluate_grid(S, N).values
-    return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
+    return _scaled_lp_mean(evaluate_grid(S, N).values, p)
 
 
 def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
@@ -133,8 +132,18 @@ def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
         raise InvalidInputError("p must be >= 1")
     if not S.coefficients:
         return 0.0
-    cells = S.cell_values()
-    return float(np.mean(np.abs(cells) ** p) ** (1.0 / p))
+    return _scaled_lp_mean(S.cell_values(), p)
+
+
+def _scaled_lp_mean(values: np.ndarray, p: float) -> float:
+    """mean(|v|^p)^(1/p) as M mean((|v|/M)^p)^(1/p), M = max |v|, so that
+    no power overflows at large p or large values."""
+    mod = np.abs(values)
+    top = float(mod.max())
+    if top == 0.0:
+        return 0.0
+    mod /= top
+    return top * float(np.mean(mod**p)) ** (1.0 / p)
 
 
 def khintchine_ratio(S, p: float) -> float:

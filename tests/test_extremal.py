@@ -209,6 +209,62 @@ def test_maximize_deterministic_rerun():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_power_iteration_never_lowers_objective():
+    """Each power step c <- grad F / |grad F| keeps F non-decreasing, and
+    the max-scaled log F equals the reference objective."""
+    from lacuna.extremal import _make_space, _objective, _power_state, _random_start
+
+    values = trig_family(geometric_sequence(2, 8), 1).index_set().values()
+    space = _make_space(sorted(values), False, 8)
+    vec = _random_start(space, (5, 1))
+    objectives = []
+    for _ in range(15):
+        log_f, _, grad = _power_state(space, vec, 8.0)
+        objectives.append(_objective(space, vec, 8.0))
+        assert log_f == pytest.approx(np.log(objectives[-1]), abs=1e-12)
+        vec = grad / np.linalg.norm(grad)
+    assert all(b >= a for a, b in zip(objectives, objectives[1:]))
+    assert objectives[-1] > objectives[0]
+
+
+def test_equal_start_is_stationary_on_full_dyadic_family():
+    result = maximize_ratio(walsh_family(2, 10), 8.0, ExtremalConfig(restarts=1))
+    assert result.stop_reason == "stationary"
+    assert result.iterations == 1
+    assert result.converged
+    assert result.to_json_dict()["stop_reason"] == "stationary"
+
+
+def test_stop_at_max_iter_is_not_converged():
+    fam = trig_family(geometric_sequence(2, 8), 1)
+    result = maximize_ratio(fam, 8.0, ExtremalConfig(restarts=1, max_iter=1))
+    assert result.stop_reason == "max-iter"
+    assert not result.converged
+    assert result.to_json_dict()["converged"] is False
+
+
+def test_maximize_keeps_seed_commit_gain_on_trig_family():
+    # the gain the earlier line-search ascent found here, truncated to 1e-9
+    fam = trig_family(geometric_sequence(2, 8), 1)
+    values = fam.index_set().values()
+    equal = TrigPolynomial({m: 1.0 / np.sqrt(len(values)) for m in values})
+    probe = khintchine_ratio(equal, 8.0)
+    result = maximize_ratio(fam, 8.0, ExtremalConfig(restarts=2, max_iter=60, seed=0))
+    assert result.ratio >= probe * 1.002826613 - 1e-9
+    assert result.converged
+
+
+def test_maximize_ratio_finite_at_large_p():
+    fam = walsh_family(2, 10)
+    values = fam.index_set().values()
+    equal = WalshPolynomial({m: 1.0 / np.sqrt(len(values)) for m in values})
+    result = maximize_ratio(fam, 400.0)
+    assert np.isfinite(result.ratio)
+    assert result.ratio >= khintchine_ratio(equal, 400.0) - 1e-9
+    # |S| <= sum |c_m| <= sqrt(n) |c|_2 bounds every L^p/L^2 ratio
+    assert result.ratio <= np.sqrt(len(values)) + 1e-9
+
+
 def test_maximize_accepts_family_directly():
     result = maximize_ratio(
         walsh_family(2, 5), 4.0, ExtremalConfig(restarts=1, max_iter=20, seed=0)
@@ -241,8 +297,10 @@ def test_growth_all_exponents_fail_raises():
     # exponent budget 30 forces cell arrays past the scale cap, so every
     # p fails inside the loop and the fit has nothing to work with
     fam = walsh_family(2, 30)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError) as info:
         growth_exponent(fam, [3, 4, 6, 8], ExtremalConfig(restarts=1, max_iter=5))
+    skipped = tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))
+    assert info.value.skipped == skipped
 
 
 def test_growth_slope_tracks_probe_for_symmetric_family():
@@ -254,6 +312,7 @@ def test_growth_slope_tracks_probe_for_symmetric_family():
     report = growth_exponent(fam, [3, 4, 6, 8], cfg)
     assert report.slope == pytest.approx(report.probe_slope, abs=5e-3)
     assert report.residual < 0.05
+    assert report.skipped == () and report.to_json_dict()["skipped"] == []
     for p, ratio in zip(report.p_values, report.ratios):
         assert ratio <= (p - 1) ** 1.0 + 1e-9
 

@@ -136,6 +136,20 @@ def test_walsh_lp_norms():
     assert lp_norm_walsh(WalshPolynomial({}), 4) == 0.0
 
 
+def test_lp_norms_do_not_overflow_at_large_p():
+    # cell values 150 and -50: 150**200 is far past the float range
+    coeffs = {6: 50, 10: 50, 12: 50}
+    cells = WalshPolynomial(coeffs).cell_values()
+    total = sum(int(v) ** 200 for v in cells)  # exact, Python integers
+    exact = math.exp((math.log(total) - math.log(len(cells))) / 200)
+    got = lp_norm_walsh(WalshPolynomial(coeffs), 200)
+    assert got == pytest.approx(exact, rel=1e-12)
+    trig = lp_norm_trig(TrigPolynomial(coeffs), 200)
+    unit = lp_norm_trig(TrigPolynomial({m: 1 for m in coeffs}), 200)
+    assert math.isfinite(trig)
+    assert trig == pytest.approx(50 * unit, rel=1e-12)
+
+
 # --- moment-comparison ratios ---------------------------------------------
 
 
