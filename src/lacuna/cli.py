@@ -620,12 +620,7 @@ def _run_matrix_experiment(args):
 def _add_extremal_flags(spec: _CommandSpec):
     spec.add("--restarts", type=int, default=3)
     spec.add("--max-iter", type=int, default=150)
-    spec.add(
-        "--step",
-        type=float,
-        default=0.5,
-        help="validated and recorded in reports; the power iteration takes no step",
-    )
+    spec.add("--step", type=float, default=0.5)
     spec.add("--seed", type=int, default=0)
     spec.add("--oversample", type=int, default=8)
 

@@ -45,13 +45,6 @@ SMALL_GAIN = 1e-10
 
 @dataclass(frozen=True)
 class ExtremalConfig:
-    """Search settings.
-
-    ``step`` is validated and serialized so that configurations and
-    reports keep their shape, but the power iteration takes no step
-    size and does not read it.
-    """
-
     restarts: int = 3
     max_iter: int = 150
     step: float = 0.5
@@ -208,13 +201,6 @@ def _objective(space, vec: np.ndarray, p: float) -> float:
     return float(np.mean(a ** (p / 2)))
 
 
-def _raw_gradient(space, vec: np.ndarray, p: float) -> np.ndarray:
-    v = space.values(vec)
-    a = np.abs(v) ** 2 + EPS_REG
-    weights = (a ** ((p - 2) / 2)) * v
-    return p * space.adjoint_mean(weights)
-
-
 def ratio_gradient(
     coeffs: dict, index_set: ChaosIndexSet, p: float, grid_oversample: int = 8
 ) -> dict:
@@ -240,17 +226,19 @@ def ratio_gradient(
         vec = np.array([complex(coeffs.get(m, 0.0)) for m in values])
     else:
         vec = np.array([float(coeffs.get(m, 0.0)) for m in values])
-    grad = _raw_gradient(space, vec, p)
+    _, _, grad, scale = _power_state(space, vec, p)
+    grad *= p * scale ** (p - 1)
     return {m: g for m, g in zip(values, grad)}
 
 
 def _power_state(space, vec: np.ndarray, p: float):
-    """log F, the L^p/L^2 ratio and a positive multiple of grad F at vec.
+    """log F, the L^p/L^2 ratio, grad F / (p M^(p-1)) and M at vec.
 
-    One forward and one adjoint transform.  Grid values are scaled by
-    their largest modulus M before any power is taken, so nothing
-    overflows at large p: F = M^p mean(((|v|^2 + eps) / M^2)^(p/2)), and
-    the gradient comes back divided by p M^(p-1).  Work arrays are
+    One forward and one adjoint transform.  M is the largest modulus of
+    the grid values, which are scaled by it before any power is taken,
+    so nothing overflows at large p: F = M^p mean(((|v|^2 + eps) /
+    M^2)^(p/2)).  ``ratio_gradient`` multiplies the gradient back by
+    p M^(p-1); the power step only needs its direction.  Work arrays are
     updated in place, and dropped before the adjoint, to keep at most
     three grid-sized arrays alive.
     """
@@ -266,7 +254,7 @@ def _power_state(space, vec: np.ndarray, p: float):
     v /= m
     weights = s * v
     del s, v
-    return log_f, ratio, space.adjoint_mean(weights)
+    return log_f, ratio, space.adjoint_mean(weights), m
 
 
 def _ascend(space, vec: np.ndarray, state, p: float, max_iter: int):
@@ -277,7 +265,7 @@ def _ascend(space, vec: np.ndarray, state, p: float, max_iter: int):
     iterate with the highest ratio (so never worse than the start), that
     ratio, the iteration count and the stop reason.
     """
-    log_f, ratio, grad = state
+    log_f, ratio, grad, _ = state
     best_vec, best_ratio = vec, ratio
     for it in range(1, max_iter + 1):
         grad_norm = np.linalg.norm(grad)
@@ -285,7 +273,7 @@ def _ascend(space, vec: np.ndarray, state, p: float, max_iter: int):
         if np.linalg.norm(tangent) <= STATIONARY_TOL * grad_norm:
             return best_vec, best_ratio, it, "stationary"
         cand = grad / grad_norm
-        cand_log_f, ratio, grad = _power_state(space, cand, p)
+        cand_log_f, ratio, grad, _ = _power_state(space, cand, p)
         if not cand_log_f > log_f:
             return best_vec, best_ratio, it, "no-ascent"
         gain = np.expm1(cand_log_f - log_f)

@@ -219,7 +219,7 @@ def test_power_iteration_never_lowers_objective():
     vec = _random_start(space, (5, 1))
     objectives = []
     for _ in range(15):
-        log_f, _, grad = _power_state(space, vec, 8.0)
+        log_f, _, grad, _ = _power_state(space, vec, 8.0)
         objectives.append(_objective(space, vec, 8.0))
         assert log_f == pytest.approx(np.log(objectives[-1]), abs=1e-12)
         vec = grad / np.linalg.norm(grad)
