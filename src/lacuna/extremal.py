@@ -28,15 +28,14 @@ from .errors import (
 from .lacunary import (
     ChaosIndexSet,
     LacunarySequence,
-    counterexample_sequence,
     critical_lambda_bracket,
     dyadic_sequence,
     enumerate_index_set,
 )
-from .walsh import _fwht, _reversed_mask
+from .trig import _GridSpace, _grid_size
+from .walsh import _CellSpace
 
 EPS_REG = 1e-14
-MAX_PROBE_TERM = 1_000_000
 # the tangent part of a gradient this much smaller than the gradient is
 # roundoff: the all-equal start on a full dyadic family sits near 2e-16
 STATIONARY_TOL = 1e-12
@@ -141,58 +140,11 @@ def trig_family(seq: LacunarySequence, l: int) -> ChaosFamily:
     return ChaosFamily(kind="trig", order=l, sequence=seq)
 
 
-class _TrigSpace:
-    """Grid evaluation of trig polynomials on a fixed frequency list."""
-
-    def __init__(self, freqs: Sequence[int], oversample: int):
-        self.freqs = list(freqs)
-        degree = max(abs(m) for m in self.freqs)
-        self.size = oversample * (2 * degree + 1)
-        self.complex_coeffs = True
-        self._bins = [m % self.size for m in self.freqs]
-
-    def values(self, vec: np.ndarray) -> np.ndarray:
-        spectrum = np.zeros(self.size, dtype=complex)
-        for b, c in zip(self._bins, vec):
-            spectrum[b] += c
-        return np.fft.ifft(spectrum) * self.size
-
-    def adjoint_mean(self, weights: np.ndarray) -> np.ndarray:
-        hat = np.fft.fft(weights) / self.size
-        return hat[self._bins]
-
-
-class _WalshSpace:
-    """Exact cell evaluation of Walsh polynomials via the fast transform."""
-
-    def __init__(self, values_m: Sequence[int]):
-        self.freqs = list(values_m)
-        scale = max(m.bit_length() - 1 for m in self.freqs)
-        if scale > 24:
-            raise ResourceError(f"walsh scale {scale} exceeds the 2^24 cell budget")
-        self.scale = scale
-        self.size = 1 << scale
-        self.complex_coeffs = False
-        self._masks = np.array(
-            [_reversed_mask(m, scale) for m in self.freqs], dtype=np.int64
-        )
-
-    def values(self, vec: np.ndarray) -> np.ndarray:
-        cells = np.zeros(self.size, dtype=float)
-        cells[self._masks] = vec
-        _fwht(cells)
-        return cells
-
-    def adjoint_mean(self, weights: np.ndarray) -> np.ndarray:
-        work = weights.astype(float, copy=True)
-        _fwht(work)
-        return work[self._masks] / self.size
-
-
 def _make_space(values, dyadic: bool, oversample: int):
     if dyadic:
-        return _WalshSpace(values)
-    return _TrigSpace(values, oversample)
+        return _CellSpace(values)
+    degree = max(abs(m) for m in values)
+    return _GridSpace(values, _grid_size(degree, oversample))
 
 
 def _objective(space, vec: np.ndarray, p: float) -> float:
@@ -544,7 +496,11 @@ def blowup_probe(
     (smallest magnitudes first) and maximizes the ratio over them; the
     same budgets run on a comfortably lacunary control at ratio
     critical + 0.2.  The trend is reported, never asserted: divergence
-    at the threshold is a limit statement.
+    at the threshold is a limit statement.  The exact critical
+    construction (``counterexample_sequence(l, 3**l)``) has terms of 60
+    bits and more already at l = 2, far beyond any grid, so the
+    critical side always runs on ``near_critical_sequence``, with a
+    warning and ``degraded`` set.
     """
     if l < 2:
         raise InvalidOrderError("order must be >= 2")
@@ -554,19 +510,12 @@ def blowup_probe(
     if not budgets or budgets[0] < 1:
         raise InvalidInputError("degree budgets must be positive")
     config = ExtremalConfig(restarts=2, max_iter=80, step=0.5, seed=seed)
-    exact_seq, _ = counterexample_sequence(l, 3**l)
-    degraded = False
-    if max(exact_seq.terms) > MAX_PROBE_TERM:
-        warnings.warn(
-            "exact critical construction needs frequencies beyond the grid "
-            "budget; degrading to a scaled congruent sequence",
-            RuntimeWarning,
-        )
-        degraded = True
-        length = 4 * l + 16
-        crit_seq = near_critical_sequence(l, length, bump=0.0)
-    else:
-        crit_seq = exact_seq
+    warnings.warn(
+        "exact critical construction needs frequencies beyond the grid "
+        "budget; degrading to a scaled congruent sequence",
+        RuntimeWarning,
+    )
+    crit_seq = near_critical_sequence(l, 4 * l + 16, bump=0.0)
     control_seq = near_critical_sequence(l, 4 * l + 16, bump=0.2)
     crit_values = _budget_values(crit_seq, l, budgets[-1])
     control_values = _budget_values(control_seq, l, budgets[-1])
@@ -592,5 +541,5 @@ def blowup_probe(
         rows=tuple(rows),
         critical_nondecreasing=bool(nondecreasing),
         control_spread=float(max(ctrl) - min(ctrl)),
-        degraded=degraded,
+        degraded=True,
     )

@@ -34,42 +34,22 @@ VARIANTS = (
     "dyadic-star",
 )
 
-_BISECTION_STEPS = 200
-
 
 def _as_fraction(x) -> Fraction:
     """Exact conversion; floats convert via their binary expansion."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, float, str)):
         return Fraction(x)
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _critical_poly_float(l: int, x: float) -> float:
-    # x^{l-1} - (x^{l-2} + ... + x + 1), monotone increasing on [1, 2]
-    acc = 0.0
-    for j in range(l - 1):
-        acc += x**j
-    return x ** (l - 1) - acc
-
-
 def _critical_poly_exact(l: int, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for j in range(l - 1):
-        acc += x**j
-    return x ** (l - 1) - acc
-
-
-def _critical_poly_deriv_float(l: int, x: float) -> float:
-    acc = 0.0
-    for j in range(1, l - 1):
-        acc += j * x ** (j - 1)
-    return (l - 1) * x ** (l - 2) - acc
+    # x^{l-1} - (x^{l-2} + ... + x + 1) by Horner, monotone increasing on [1, 2]
+    acc = Fraction(1)
+    for _ in range(l - 1):
+        acc = acc * x - 1
+    return acc
 
 
 def critical_lambda(l: int, tol: float = 1e-10) -> float:
@@ -84,40 +64,25 @@ def critical_lambda(l: int, tol: float = 1e-10) -> float:
         Sum order, at least 2.  For ``l == 2`` the equation degenerates
         to ``x == 1`` and exactly 1.0 is returned.
     tol : float
-        Residual guard (must be positive).  Bisection runs to float
-        resolution regardless and a Newton polish then lands on the
-        correctly rounded double, so tol only rejects nonsense inputs.
+        Must be positive; only rejects nonsense inputs, since the result
+        is always the correctly rounded double.
 
     Returns
     -------
     float
+        The double that both ends of a ``critical_lambda_bracket`` round
+        to; the bracket starts at 64 bits and doubles until they agree.
     """
     if not isinstance(l, int) or l < 2:
         raise InvalidOrderError("order must be >= 2")
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
-    if l == 2:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    mid = lo
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _critical_poly_float(l, mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    x = mid
-    for _ in range(6):
-        deriv = _critical_poly_deriv_float(l, x)
-        if deriv <= 0:
-            break
-        nxt = x - _critical_poly_float(l, x) / deriv
-        if nxt == x or not 1.0 < nxt < 2.0:
-            break
-        x = nxt
-    return x
+    bits = 64
+    while True:
+        lo, hi = critical_lambda_bracket(l, bits)
+        if float(lo) == float(hi):
+            return float(lo)
+        bits *= 2
 
 
 def critical_lambda_bracket(l: int, bits: int = 64) -> tuple[Fraction, Fraction]:
@@ -381,6 +346,18 @@ def enumerate_index_set(
     return ChaosIndexSet(variant=variant, order=l, sequence=prefix, entries=entries)
 
 
+def _top_sums(terms):
+    """top_sum(i, k): the sum of the k largest of the increasing terms at
+    positions 0..i, the most a depth-first walk below i can still add."""
+    prefix_sums = list(itertools.accumulate(terms, initial=0))
+
+    def top_sum(i: int, k: int) -> int:
+        k = min(k, i + 1)
+        return prefix_sums[i + 1] - prefix_sums[i + 1 - k]
+
+    return top_sum
+
+
 def representations(
     seq: LacunarySequence, m: int, l: int, variant: str = "signed"
 ) -> list[SignedRepresentation]:
@@ -398,15 +375,7 @@ def representations(
         _require_dyadic_ladder(seq)
     terms = seq.terms
     n = len(terms)
-    prefix_sums = [0] * (n + 1)
-    for i, t in enumerate(terms):
-        prefix_sums[i + 1] = prefix_sums[i] + t
-
-    def top_sum(i: int, k: int) -> int:
-        # sum of the k largest terms among positions 0..i
-        k = min(k, i + 1)
-        return prefix_sums[i + 1] - prefix_sums[i + 1 - k]
-
+    top_sum = _top_sums(terms)
     sign_choices = (1, -1) if base == "signed" else (1,)
     found: list[SignedRepresentation] = []
 
@@ -455,13 +424,7 @@ def mixed_representation_count(seq: LacunarySequence, m: int, l: int) -> int:
         )
     terms = seq.terms
     n = len(terms)
-    prefix_sums = [0] * (n + 1)
-    for i, t in enumerate(terms):
-        prefix_sums[i + 1] = prefix_sums[i] + t
-
-    def top_sum(i: int, k: int) -> int:
-        k = min(k, i + 1)
-        return prefix_sums[i + 1] - prefix_sums[i + 1 - k]
+    top_sum = _top_sums(terms)
 
     def walk(i: int, pos_left: int, neg_left: int, target: int) -> int:
         count = 1 if target == 0 else 0

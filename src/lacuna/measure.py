@@ -11,21 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceError
+from .lacunary import _as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _coerce_endpoint(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise InvalidInputError(f"bad interval endpoint {x!r}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +32,8 @@ class IntervalSet:
     def __init__(self, intervals=()):
         cleaned = []
         for a, b in intervals:
-            a = _coerce_endpoint(a)
-            b = _coerce_endpoint(b)
+            a = _as_fraction(a)
+            b = _as_fraction(b)
             if not (_ZERO <= a and b <= _ONE):
                 raise InvalidInputError(f"interval [{a}, {b}) leaves [0, 1)")
             if a > b:
@@ -89,7 +78,7 @@ class IntervalSet:
         return sum((b - a for a, b in self.intervals), _ZERO)
 
     def contains(self, x) -> bool:
-        x = _coerce_endpoint(x)
+        x = _as_fraction(x)
         return any(a <= x < b for a, b in self.intervals)
 
     def is_empty(self) -> bool:
@@ -121,7 +110,7 @@ class IntervalSet:
 
     def translate(self, s) -> "IntervalSet":
         """Shift by s modulo 1, splitting the piece that wraps."""
-        s = _coerce_endpoint(s) % 1
+        s = _as_fraction(s) % 1
         out = []
         for a, b in self.intervals:
             a2, b2 = a + s, b + s
@@ -210,8 +199,6 @@ def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
 
 
 def _walsh_energy(cell_values, scale: int, E: IntervalSet) -> float:
-    if scale > 20:
-        raise ResourceError("cell-exact energy is capped at scale 20")
     step = Fraction(1, 2**scale)
     total = 0.0
     for a, b in E.intervals:
@@ -241,5 +228,7 @@ def energy_on_set(S, E: IntervalSet) -> float:
     if isinstance(S, WalshPolynomial):
         if not S.coefficients:
             return 0.0
+        if S.max_scale > 20:
+            raise ResourceError("cell-exact energy is capped at scale 20")
         return _walsh_energy(S.cell_values(), S.max_scale, E)
     raise InvalidInputError("energy_on_set expects a trig or Walsh polynomial")

@@ -85,27 +85,57 @@ class GridEvaluation:
         return j / self.size
 
 
-def evaluate_grid(S: TrigPolynomial, N: int) -> GridEvaluation:
-    """Synthesize S on the N-point uniform grid with an inverse FFT.
+def _grid_size(degree: int, oversample: int) -> int:
+    """Points of the quadrature grid for a polynomial of the given degree."""
+    if oversample < 4:
+        raise InvalidInputError("oversample must be >= 4")
+    return oversample * (2 * degree + 1)
+
+
+class _GridSpace:
+    """Trig polynomials on a fixed frequency list, synthesized on the
+    N-point grid j/N by an inverse FFT; the forward FFT is the adjoint.
 
     Requires N > 2 * degree so that frequencies do not alias and the
     grid determines the polynomial.
     """
-    if N <= 2 * S.degree:
-        raise AliasingError(
-            f"grid of {N} points cannot resolve degree {S.degree}; need N > 2*degree"
-        )
-    spectrum = np.zeros(N, dtype=np.complex128)
-    for m, c in S.coefficients.items():
-        spectrum[m % N] += complex(c)
-    values = np.fft.ifft(spectrum) * N
+
+    complex_coeffs = True
+
+    def __init__(self, freqs: Sequence[int], size: int):
+        self.freqs = list(freqs)
+        degree = max((abs(m) for m in self.freqs), default=0)
+        if size <= 2 * degree:
+            raise AliasingError(
+                f"grid of {size} points cannot resolve degree {degree}; need N > 2*degree"
+            )
+        self.size = size
+        self._bins = [m % size for m in self.freqs]
+
+    def values(self, vec) -> np.ndarray:
+        spectrum = np.zeros(self.size, dtype=np.complex128)
+        for b, c in zip(self._bins, vec):
+            spectrum[b] += c
+        return np.fft.ifft(spectrum) * self.size
+
+    def adjoint_mean(self, weights: np.ndarray) -> np.ndarray:
+        """Mean of weights against e^{2 pi i m x} for each frequency m."""
+        hat = np.fft.fft(weights) / self.size
+        return hat[self._bins]
+
+
+def evaluate_grid(S: TrigPolynomial, N: int) -> GridEvaluation:
+    """Synthesize S on the N-point uniform grid; needs N > 2 * degree."""
+    space = _GridSpace(S.coefficients, N)
+    values = space.values([complex(c) for c in S.coefficients.values()])
     return GridEvaluation(size=N, values=values)
 
 
 def grid_to_coefficients(grid: GridEvaluation, freqs: Sequence[int]) -> dict[int, complex]:
     """Recover coefficients at the given frequencies from grid values."""
-    spectrum = np.fft.fft(grid.values) / grid.size
-    return {m: complex(spectrum[m % grid.size]) for m in freqs}
+    freqs = list(freqs)
+    hat = _GridSpace(freqs, grid.size).adjoint_mean(grid.values)
+    return {m: complex(c) for m, c in zip(freqs, hat)}
 
 
 def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
@@ -116,13 +146,11 @@ def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
-    if oversample < 4:
-        raise InvalidInputError("oversample must be >= 4")
+    N = _grid_size(S.degree, oversample)
     if not S.coefficients:
         return 0.0
     if p == 2:
         return S.norm2()
-    N = oversample * (2 * S.degree + 1)
     return _scaled_lp_mean(evaluate_grid(S, N).values, p)
 
 
@@ -149,16 +177,15 @@ def _scaled_lp_mean(values: np.ndarray, p: float) -> float:
 def khintchine_ratio(S, p: float) -> float:
     """||S||_p / ||S||_2 for a trig or Walsh polynomial."""
     if isinstance(S, TrigPolynomial):
-        denom = S.norm2()
-        if denom == 0.0:
-            raise UndefinedRatioError("ratio of the zero polynomial is undefined")
-        return lp_norm_trig(S, p) / denom
-    if isinstance(S, WalshPolynomial):
-        denom = S.norm2()
-        if denom == 0.0:
-            raise UndefinedRatioError("ratio of the zero polynomial is undefined")
-        return lp_norm_walsh(S, p) / denom
-    raise InvalidInputError("khintchine_ratio expects a trig or Walsh polynomial")
+        lp_norm = lp_norm_trig
+    elif isinstance(S, WalshPolynomial):
+        lp_norm = lp_norm_walsh
+    else:
+        raise InvalidInputError("khintchine_ratio expects a trig or Walsh polynomial")
+    denom = S.norm2()
+    if denom == 0.0:
+        raise UndefinedRatioError("ratio of the zero polynomial is undefined")
+    return lp_norm(S, p) / denom
 
 
 def _check_three_lacunary(freqs: Sequence[int]) -> bool:

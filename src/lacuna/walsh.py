@@ -189,6 +189,46 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _max_scale(values_m) -> int:
+    return max((m.bit_length() - 1 for m in values_m if m), default=0)
+
+
+class _CellSpace:
+    """Walsh polynomials on a fixed index list, evaluated exactly on the
+    2**scale cells of [0, 1) by the fast transform, which is also (up to
+    the cell count) its own adjoint.
+
+    ``scale`` defaults to the finest digit of the index list.
+    """
+
+    complex_coeffs = False
+
+    def __init__(self, values_m: Sequence[int], scale: int | None = None):
+        self.freqs = list(values_m)
+        support = _max_scale(self.freqs)
+        if scale is None:
+            scale = support
+        elif scale < support:
+            raise InvalidInputError("scale is coarser than the polynomial support")
+        if scale > 24:
+            raise ResourceError("cell enumeration is capped at scale 24")
+        self.size = 1 << scale
+        self._masks = np.array(
+            [_reversed_mask(m, scale) for m in self.freqs], dtype=np.int64
+        )
+
+    def values(self, vec) -> np.ndarray:
+        cells = np.zeros(self.size, dtype=np.float64)
+        cells[self._masks] = vec
+        return _fwht(cells)
+
+    def adjoint_mean(self, weights: np.ndarray) -> np.ndarray:
+        """Mean of weights against w_m for each index m."""
+        work = weights.astype(float, copy=True)
+        _fwht(work)
+        return work[self._masks] / self.size
+
+
 @dataclass(frozen=True)
 class WalshPolynomial:
     """Finite real combination of Walsh functions, keyed by index value.
@@ -211,8 +251,7 @@ class WalshPolynomial:
 
     @property
     def max_scale(self) -> int:
-        exps = [m.bit_length() - 1 for m in self.coefficients if m]
-        return max(exps) if exps else 0
+        return _max_scale(self.coefficients)
 
     def evaluate(self, x: DyadicPoint) -> float:
         total = 0.0
@@ -226,16 +265,8 @@ class WalshPolynomial:
     def cell_values(self, scale: int | None = None) -> np.ndarray:
         """Values on the 2**scale cells (default max_scale), via the
         fast transform."""
-        if scale is None:
-            scale = self.max_scale
-        elif scale < self.max_scale:
-            raise InvalidInputError("scale is coarser than the polynomial support")
-        if scale > 24:
-            raise ResourceError("cell enumeration is capped at scale 24")
-        arr = np.zeros(1 << scale, dtype=np.float64)
-        for m, a in self.coefficients.items():
-            arr[_reversed_mask(m, scale)] += a
-        return _fwht(arr)
+        space = _CellSpace(self.coefficients, scale)
+        return space.values(np.array(list(self.coefficients.values()), dtype=np.float64))
 
     def norm2(self) -> float:
         return float(np.sqrt(sum(float(a) ** 2 for a in self.coefficients.values())))
@@ -258,6 +289,19 @@ def synthesize(coefficients: Mapping[int, float]) -> WalshPolynomial:
     return WalshPolynomial(dict(coefficients))
 
 
+def _flip_orbit(alpha: DyadicPoint, exponents: Sequence[int]):
+    """The 2**l digit-flip shifts of alpha, each with the parity of its
+    flips: for bits = 0 .. 2**l - 1, bit j flips digit exponents[j]."""
+    for bits in range(1 << len(exponents)):
+        point = alpha
+        parity = 0
+        for j, k in enumerate(exponents):
+            if (bits >> j) & 1:
+                point = point.xor_pow2(k)
+                parity ^= 1
+        yield point, parity
+
+
 def shift_sum(n: WalshIndex, m: WalshIndex, alpha: DyadicPoint) -> int:
     """Signed sum of w_n over the 2**l XOR-shifts of alpha by m's digits.
 
@@ -270,13 +314,7 @@ def shift_sum(n: WalshIndex, m: WalshIndex, alpha: DyadicPoint) -> int:
             f"index orders differ: {n.order} vs {l}; the identity needs equal orders"
         )
     total = 0
-    for bits in range(1 << l):
-        point = alpha
-        parity = 0
-        for j, k in enumerate(m.exponents):
-            if (bits >> j) & 1:
-                point = point.xor_pow2(k)
-                parity ^= 1
+    for point, parity in _flip_orbit(alpha, m.exponents):
         w = walsh_eval(n, point)
         total += -w if parity else w
     return total
@@ -299,15 +337,9 @@ def shift_sum_bulk(
         raise ResourceError("bulk shift sums are capped at scale 62; go scalar")
     a_bits = np.array([a.at_scale(scale).numerator for a in alphas], dtype=np.int64)
     n_masks = np.array([_reversed_mask(n.value, scale) for n in ns], dtype=np.int64)
-    sub_masks = np.zeros(1 << m.order, dtype=np.int64)
-    sub_signs = np.zeros(1 << m.order, dtype=np.int64)
-    for bits in range(1 << m.order):
-        mask = 0
-        for j, k in enumerate(m.exponents):
-            if (bits >> j) & 1:
-                mask |= 1 << (scale - k)
-        sub_masks[bits] = mask
-        sub_signs[bits] = -1 if bin(bits).count("1") % 2 else 1
+    orbit = list(_flip_orbit(DyadicPoint(0, scale), m.exponents))
+    sub_masks = np.array([point.numerator for point, _ in orbit], dtype=np.int64)
+    sub_signs = np.array([-1 if parity else 1 for _, parity in orbit], dtype=np.int64)
     shifted = a_bits[:, None] ^ sub_masks[None, :]
     hits = np.bitwise_count(
         shifted[:, :, None].astype(np.uint64) & n_masks[None, None, :].astype(np.uint64)
@@ -346,11 +378,7 @@ def find_alpha(
             point = DyadicPoint(int(num), scale)
             break
         scale += 1
-    for bits in range(1 << len(exps)):
-        shifted = point
-        for j, k in enumerate(exps):
-            if (bits >> j) & 1:
-                shifted = shifted.xor_pow2(k)
+    for shifted, _ in _flip_orbit(point, exps):
         if not E.contains(shifted.as_fraction()):
             raise RuntimeError("internal: shifted point escaped the source set")
     return point
@@ -382,13 +410,7 @@ def recover_coefficient(
         return float(S(p))
 
     numer = 0.0
-    for bits in range(1 << m.order):
-        point = alpha
-        parity = 0
-        for j, k in enumerate(m.exponents):
-            if (bits >> j) & 1:
-                point = point.xor_pow2(k)
-                parity ^= 1
+    for point, parity in _flip_orbit(alpha, m.exponents):
         v = value_at(point)
         numer += -v if parity else v
     denom = shift_sum(m, m, alpha)

@@ -146,6 +146,13 @@ def test_gradient_validation():
         ratio_gradient({6: 1.0}, iset, 2.0)
 
 
+def test_gradient_rejects_coarse_grids():
+    iset = enumerate_index_set(geometric_sequence(4, 3), 1, "positive")
+    for oversample in (0, 2):
+        with pytest.raises(InvalidInputError):
+            ratio_gradient({4: 1.0}, iset, 4.0, grid_oversample=oversample)
+
+
 # --- maximize -------------------------------------------------------------
 
 

@@ -86,6 +86,13 @@ def test_critical_lambda_monotone_below_two():
     assert all(v < 2 for v in values)
 
 
+def test_critical_lambda_is_correctly_rounded():
+    for l in range(2, 30):
+        lo, hi = critical_lambda_bracket(l, bits=200)
+        assert float(lo) == float(hi)
+        assert critical_lambda(l) == float(lo), l
+
+
 def test_critical_lambda_rejects_low_order():
     with pytest.raises(InvalidOrderError):
         critical_lambda(1)

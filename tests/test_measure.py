@@ -17,6 +17,7 @@ from lacuna import (
     DyadicPoint,
     IntervalSet,
     InvalidInputError,
+    ResourceError,
     TrigPolynomial,
     WalshPolynomial,
     energy_on_set,
@@ -234,6 +235,17 @@ def test_walsh_energy_full_circle_is_parseval():
     E = IntervalSet([(0, 1)])
     want = sum(c**2 for c in (0.25, 1.5, -2.0))
     assert energy_on_set(poly, E) == pytest.approx(want, abs=1e-12)
+
+
+def test_walsh_energy_cap_precedes_cell_evaluation(monkeypatch):
+    import lacuna.walsh
+
+    def refuse(self, vec):
+        raise AssertionError("cells evaluated before the scale cap")
+
+    monkeypatch.setattr(lacuna.walsh._CellSpace, "values", refuse)
+    with pytest.raises(ResourceError):
+        energy_on_set(WalshPolynomial({2**22: 1.0}), IntervalSet.full())
 
 
 def test_energy_rejects_unknown_polynomial():

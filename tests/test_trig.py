@@ -75,6 +75,12 @@ def test_grid_requires_enough_points():
         evaluate_grid(poly, 8)
 
 
+def test_grid_coefficients_refuse_aliased_frequencies():
+    grid = evaluate_grid(TrigPolynomial({4: 1.0}), 16)
+    with pytest.raises(AliasingError):
+        grid_to_coefficients(grid, [4, 8])
+
+
 def test_grid_roundtrip():
     poly = TrigPolynomial({4: 1.5 - 0.5j, -16: 2.0, 20: 0.125j})
     grid = evaluate_grid(poly, 64)

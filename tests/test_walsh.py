@@ -153,6 +153,11 @@ def test_cell_values_at_finer_scale():
         poly.cell_values(scale=1)
 
 
+def test_cell_values_of_constant_and_zero():
+    assert WalshPolynomial({0: 2.0}).cell_values().tolist() == [2.0]
+    assert WalshPolynomial({}).cell_values().tolist() == [0.0]
+
+
 def test_polynomial_roundtrip_and_norm():
     poly = synthesize({6: 2.5, 20: -1.25})
     again = WalshPolynomial.from_json_dict(poly.to_json_dict())
