@@ -44,11 +44,12 @@ def _as_fraction(x) -> Fraction:
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _critical_poly_exact(l: int, x: Fraction) -> Fraction:
-    # x^{l-1} - (x^{l-2} + ... + x + 1) by Horner, monotone increasing on [1, 2]
-    acc = Fraction(1)
-    for _ in range(l - 1):
-        acc = acc * x - 1
+def _critical_poly_scaled(l: int, num: int, bits: int) -> int:
+    # 2^(bits (l-1)) p(num / 2^bits) for p(x) = x^{l-1} - (x^{l-2} + ... + x + 1),
+    # which is monotone increasing on [1, 2]; Horner in integers
+    acc = 1
+    for k in range(1, l):
+        acc = acc * num - (1 << (bits * k))
     return acc
 
 
@@ -98,14 +99,14 @@ def critical_lambda_bracket(l: int, bits: int = 64) -> tuple[Fraction, Fraction]
         raise InvalidInputError("bits must be positive")
     if l == 2:
         return Fraction(1), Fraction(1)
-    lo, hi = Fraction(1), Fraction(2)
+    lo, hi = 1 << bits, 2 << bits  # numerators over 2^bits
     for _ in range(bits):
-        mid = (lo + hi) / 2
-        if _critical_poly_exact(l, mid) < 0:
+        mid = (lo + hi) >> 1
+        if _critical_poly_scaled(l, mid, bits) < 0:
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
 def validate_lacunary(terms: Iterable[int], lam) -> dict:
