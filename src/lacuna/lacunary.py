@@ -44,13 +44,11 @@ def _as_fraction(x) -> Fraction:
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _critical_poly_scaled(l: int, num: int, bits: int) -> int:
-    # 2^(bits (l-1)) p(num / 2^bits) for p(x) = x^{l-1} - (x^{l-2} + ... + x + 1),
-    # which is monotone increasing on [1, 2]; Horner in integers
-    acc = 1
-    for k in range(1, l):
-        acc = acc * num - (1 << (bits * k))
-    return acc
+def _critical_sign(l: int, num: int, bits: int) -> int:
+    # p(x) = x^{l-1} - (x^{l-2} + ... + x + 1) is increasing on [1, 2], and
+    # (x - 1) p(x) = x^l - 2 x^{l-1} + 1 has its sign for x > 1; this is
+    # that product at x = num / 2^bits, times 2^(bits l)
+    return num ** (l - 1) * (num - (2 << bits)) + (1 << (bits * l))
 
 
 def critical_lambda(l: int, tol: float = 1e-10) -> float:
@@ -102,7 +100,7 @@ def critical_lambda_bracket(l: int, bits: int = 64) -> tuple[Fraction, Fraction]
     lo, hi = 1 << bits, 2 << bits  # numerators over 2^bits
     for _ in range(bits):
         mid = (lo + hi) >> 1
-        if _critical_poly_scaled(l, mid, bits) < 0:
+        if _critical_sign(l, mid, bits) < 0:
             lo = mid
         else:
             hi = mid
