@@ -1,8 +1,9 @@
 """Experiment driver.
 
-Every library operation is exposed as a subcommand.  Reports are
-deterministic: sorted keys, no timestamps, atomic file writes, and an
-embedded schema_version plus the fully resolved configuration, so a
+Every library operation is a subcommand, registered once in a command
+table with its flags and a runner whose result ``main`` emits.  Reports
+are deterministic: sorted keys, no timestamps, atomic file writes, and
+an embedded schema_version plus the fully resolved configuration, so a
 rerun with identical arguments and seed is byte-identical.
 
 Exit codes: 0 success, 2 validation or precondition failure (with a
@@ -25,7 +26,6 @@ from .extremal import (
     blowup_probe,
     growth_exponent,
     maximize_ratio,
-    ratio_gradient,
     trig_family,
     walsh_family,
 )
@@ -66,28 +66,6 @@ from .walsh import (
 
 SCHEMA_VERSION = "1"
 
-COMMANDS = (
-    "lambda",
-    "validate",
-    "enumerate",
-    "reps",
-    "heads",
-    "counterexample",
-    "walsh-shift",
-    "find-alpha",
-    "recover",
-    "norm",
-    "ratio",
-    "riesz",
-    "project",
-    "energy",
-    "inverse-check",
-    "matrix-experiment",
-    "extremal",
-    "growth",
-    "blowup",
-)
-
 
 class _CliFailure(Exception):
     def __init__(self, code: int, payload: dict):
@@ -101,6 +79,10 @@ class _Parser(argparse.ArgumentParser):
         raise _CliFailure(2, {"error": "invalid-input", "message": message})
 
 
+def _config_failure(message: str) -> _CliFailure:
+    return _CliFailure(65, {"error": "malformed-config", "message": message})
+
+
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -108,24 +90,6 @@ def _parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-class _CommandSpec:
-    """Parser plus the per-flag converters needed to type config values."""
-
-    def __init__(self, name: str):
-        self.parser = _Parser(prog=f"lacuna {name}", description=None)
-        self.converters = {}
-        self.actions = {}
-
-    def add(self, flag: str, **kwargs):
-        action = self.parser.add_argument(flag, **kwargs)
-        conv = kwargs.get("type", str)
-        if kwargs.get("action") == "store_true":
-            conv = _parse_bool
-        self.converters[action.dest] = conv
-        self.actions[action.dest] = action
-        return action
 
 
 def _int_csv(text: str) -> str:
@@ -146,31 +110,6 @@ def _float_csv(text: str) -> str:
 
 def _parse_float_list(text: str) -> list:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _add_output_flags(spec: _CommandSpec):
-    spec.add("--output", type=str, default=None, help="report file path")
-    spec.add("--format", type=str, default="json", choices=("json", "csv"))
-    spec.add("--config", type=str, default=None, help="key=value config file")
-
-
-def _add_sequence_flags(spec: _CommandSpec):
-    spec.add("--terms", type=_int_csv, default=None, help="comma-separated terms")
-    spec.add("--lam", type=str, default=None, help="lacunarity witness, e.g. 3/2")
-    spec.add("--ratio", type=int, default=None, help="geometric base instead of terms")
-    spec.add("--length", type=int, default=None, help="geometric length")
-
-
-def _sequence_from_args(args) -> LacunarySequence:
-    if args.terms is not None:
-        terms = tuple(_parse_int_list(args.terms))
-        if args.lam is None:
-            raise InvalidInputError("--terms needs --lam (exact rational witness)")
-        return LacunarySequence(terms, lam=Fraction(args.lam))
-    if args.ratio is not None and args.length is not None:
-        lam = Fraction(args.lam) if args.lam is not None else None
-        return geometric_sequence(args.ratio, args.length, lam=lam)
-    raise InvalidInputError("supply --terms with --lam, or --ratio with --length")
 
 
 def _load_json_file(path: str) -> dict:
@@ -200,29 +139,20 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _resolved_config(args) -> dict:
-    skip = {"command", "output", "config"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        if isinstance(value, Fraction):
-            value = str(value)
-        out[key] = value
-    threads = os.environ.get("LACUNA_THREADS")
-    out["threads"] = int(threads) if threads and threads.isdigit() else None
-    return out
+def _header(args) -> dict:
+    config = {k: v for k, v in vars(args).items() if k not in ("output", "config")}
+    return {"schema_version": SCHEMA_VERSION, "config": config}
 
 
 def _report_text(args, body: dict) -> str:
-    report = {"schema_version": SCHEMA_VERSION, "config": _resolved_config(args)}
-    report.update(body)
+    # the header wins over body keys of the same name, so every report
+    # carries the CLI's resolved configuration
+    report = {**body, **_header(args)}
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _jsonl_text(args, rows: list) -> str:
-    header = {"schema_version": SCHEMA_VERSION, "config": _resolved_config(args)}
-    lines = [json.dumps(header, sort_keys=True)]
+    lines = [json.dumps(_header(args), sort_keys=True)]
     lines.extend(json.dumps(row, sort_keys=True) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -242,285 +172,90 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, result, scalar: bool) -> None:
+    """A scalar prints bare (with --output, a report's "value"); a dict
+    becomes a JSON report; a CSV or JSONL string is written as is."""
+    if scalar and not args.output:
+        text = (repr(result) if isinstance(result, float) else str(result)) + "\n"
+    elif scalar:
+        value = result if isinstance(result, (int, float)) else str(result)
+        text = _report_text(args, {"value": value})
+    elif isinstance(result, dict):
+        text = _report_text(args, result)
+    else:
+        text = result
     if args.output:
         _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_scalar(args, value) -> None:
-    """Print the bare value; with --output wrap it in a report object."""
-    if isinstance(value, float):
-        printable = repr(value)
-    else:
-        printable = str(value)
-    if args.output:
-        json_value = value if isinstance(value, (int, float)) else str(value)
-        _emit(args, _report_text(args, {"value": json_value}))
-    else:
-        sys.stdout.write(printable + "\n")
-
-
-def _require_json_format(args) -> None:
-    if args.format != "json":
-        raise InvalidInputError("this subcommand only emits json")
-
-
 # ---------------------------------------------------------------------------
-# subcommand specs
+# the command table
 
 
-def _spec_lambda() -> _CommandSpec:
-    spec = _CommandSpec("lambda")
-    spec.add("--l", type=int, required=True)
-    spec.add("--tol", type=float, default=1e-10)
-    _add_output_flags(spec)
-    return spec
+_COMMANDS = {}
 
 
-def _run_lambda(args):
-    _require_json_format(args)
-    _emit_scalar(args, critical_lambda(args.l, tol=args.tol))
+def _command(name: str, *rows, formats=("json",), scalar=False):
+    """Register the runner of subcommand ``name``: ``rows`` are its (flag,
+    add_argument keywords) pairs, ``formats`` its --format choices, and
+    ``scalar`` marks a runner that returns a bare value."""
+
+    def register(run):
+        _COMMANDS[name] = (rows, formats, scalar, run)
+        return run
+
+    return register
 
 
-def _spec_validate() -> _CommandSpec:
-    spec = _CommandSpec("validate")
-    spec.add("--terms", type=_int_csv, required=True)
-    spec.add("--lam", type=str, required=True)
-    _add_output_flags(spec)
-    return spec
+def _flag(name: str, **kwargs) -> tuple:
+    return (name, kwargs)
 
 
-def _run_validate(args):
-    _require_json_format(args)
-    report = validate_lacunary(_parse_int_list(args.terms), Fraction(args.lam))
-    violation = report["first_violation"]
-    if violation is not None:
-        violation = {"index": violation["index"], "pair": list(violation["pair"])}
-    body = {"ok": report["ok"], "first_violation": violation}
-    _emit(args, _report_text(args, body))
+_L = _flag("--l", type=int, required=True)
+_M = _flag("--m", type=int, required=True)
+_P = _flag("--p", type=float, required=True)
+_POLY = _flag("--poly", type=str, required=True)
+_KIND = _flag("--kind", type=str, required=True, choices=("trig", "walsh"))
+_SET = _flag("--set", type=str, required=True)
+_VARIANT = _flag("--variant", type=str, default="signed")
+_SEQUENCE = (
+    _flag("--terms", type=_int_csv, default=None, help="comma-separated terms"),
+    _flag("--lam", type=str, default=None, help="lacunarity witness, e.g. 3/2"),
+    _flag("--ratio", type=int, default=None, help="geometric base instead of terms"),
+    _flag("--length", type=int, default=None, help="geometric length"),
+)
+_CONTEXT = (
+    _KIND,
+    *_SEQUENCE,
+    _L,
+    _flag("--d", type=int, default=None, help="representation bound (trig)"),
+)
+_FAMILY = (
+    _flag("--family", type=str, required=True, choices=("walsh", "trig")),
+    _L,
+    _flag("--exponent-budget", type=int, default=None),
+    *_SEQUENCE,
+)
+_SEARCH = (
+    _flag("--restarts", type=int, default=3),
+    _flag("--max-iter", type=int, default=150),
+    _flag("--seed", type=int, default=0),
+    _flag("--oversample", type=int, default=8),
+)
 
 
-def _spec_enumerate() -> _CommandSpec:
-    spec = _CommandSpec("enumerate")
-    _add_sequence_flags(spec)
-    spec.add("--l", type=int, required=True)
-    spec.add("--variant", type=str, default="signed")
-    spec.add("--prefix-len", type=int, default=None)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_enumerate(args):
-    _require_json_format(args)
-    seq = _sequence_from_args(args)
-    iset = enumerate_index_set(seq, args.l, args.variant, prefix_len=args.prefix_len)
-    _emit(args, _report_text(args, iset.to_json_dict()))
-
-
-def _spec_reps() -> _CommandSpec:
-    spec = _CommandSpec("reps")
-    _add_sequence_flags(spec)
-    spec.add("--m", type=int, required=True)
-    spec.add("--l", type=int, required=True)
-    spec.add("--variant", type=str, default="signed")
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_reps(args):
-    _require_json_format(args)
-    seq = _sequence_from_args(args)
-    found = representations(seq, args.m, args.l, args.variant)
-    body = {
-        "m": args.m,
-        "count": len(found),
-        "representations": [
-            {
-                "indices": list(r.indices),
-                "signs": list(r.signs),
-                "head": r.head,
-            }
-            for r in found
-        ],
-    }
-    _emit(args, _report_text(args, body))
-
-
-def _spec_heads() -> _CommandSpec:
-    spec = _CommandSpec("heads")
-    _add_sequence_flags(spec)
-    spec.add("--l", type=int, required=True)
-    spec.add("--variant", type=str, default="signed")
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_heads(args):
-    _require_json_format(args)
-    seq = _sequence_from_args(args)
-    iset = enumerate_index_set(seq, args.l, args.variant)
-    _emit(args, _report_text(args, head_partition(iset).to_json_dict()))
-
-
-def _spec_counterexample() -> _CommandSpec:
-    spec = _CommandSpec("counterexample")
-    spec.add("--l", type=int, required=True)
-    spec.add("--m-max", type=int, required=True)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_counterexample(args):
-    _require_json_format(args)
-    seq, report = counterexample_sequence(args.l, args.m_max)
-    body = dict(report)
-    body["terms"] = [str(t) for t in seq.terms]
-    _emit(args, _report_text(args, body))
-
-
-def _spec_walsh_shift() -> _CommandSpec:
-    spec = _CommandSpec("walsh-shift")
-    spec.add("--n", type=int, required=True)
-    spec.add("--m", type=int, required=True)
-    spec.add("--alpha", type=str, required=True, help="dyadic point, e.g. 3/8")
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_walsh_shift(args):
-    _require_json_format(args)
-    value = shift_sum(
-        WalshIndex.from_value(args.n),
-        WalshIndex.from_value(args.m),
-        DyadicPoint.parse(args.alpha),
-    )
-    _emit_scalar(args, value)
-
-
-def _spec_find_alpha() -> _CommandSpec:
-    spec = _CommandSpec("find-alpha")
-    spec.add("--set", type=str, required=True, help="e.g. 0/1:15/16")
-    spec.add("--exponents", type=_int_csv, required=True)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_find_alpha(args):
-    _require_json_format(args)
-    E = IntervalSet.parse(args.set)
-    point = find_alpha(E, tuple(_parse_int_list(args.exponents)))
-    _emit_scalar(args, "absent" if point is None else point.as_fraction())
-
-
-def _spec_recover() -> _CommandSpec:
-    spec = _CommandSpec("recover")
-    spec.add("--poly", type=str, required=True, help="walsh polynomial JSON file")
-    spec.add("--m", type=int, required=True)
-    spec.add("--alpha", type=str, required=True)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_recover(args):
-    _require_json_format(args)
-    S = _load_poly(args.poly, "walsh")
-    value = recover_coefficient(
-        S, WalshIndex.from_value(args.m), DyadicPoint.parse(args.alpha)
-    )
-    _emit_scalar(args, value)
-
-
-def _spec_norm() -> _CommandSpec:
-    spec = _CommandSpec("norm")
-    spec.add("--poly", type=str, required=True)
-    spec.add("--kind", type=str, required=True, choices=("trig", "walsh"))
-    spec.add("--p", type=float, required=True)
-    spec.add("--oversample", type=int, default=8)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_norm(args):
-    _require_json_format(args)
-    S = _load_poly(args.poly, args.kind)
-    if args.kind == "trig":
-        value = lp_norm_trig(S, args.p, oversample=args.oversample)
-    else:
-        value = lp_norm_walsh(S, args.p)
-    _emit_scalar(args, value)
-
-
-def _spec_ratio() -> _CommandSpec:
-    spec = _CommandSpec("ratio")
-    spec.add("--poly", type=str, required=True)
-    spec.add("--kind", type=str, required=True, choices=("trig", "walsh"))
-    spec.add("--p", type=float, required=True)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_ratio(args):
-    _require_json_format(args)
-    S = _load_poly(args.poly, args.kind)
-    _emit_scalar(args, khintchine_ratio(S, args.p))
-
-
-def _spec_riesz() -> _CommandSpec:
-    spec = _CommandSpec("riesz")
-    spec.add("--freqs", type=_int_csv, required=True)
-    spec.add("--signs", type=_int_csv, default=None)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_riesz(args):
-    _require_json_format(args)
-    freqs = tuple(_parse_int_list(args.freqs))
-    signs = (
-        tuple(_parse_int_list(args.signs))
-        if args.signs is not None
-        else tuple(1 for _ in freqs)
-    )
-    product = riesz_product(freqs, signs)
-    _emit(args, _report_text(args, product.to_json_dict()))
-
-
-def _spec_project() -> _CommandSpec:
-    spec = _CommandSpec("project")
-    spec.add("--m", type=int, required=True)
-    spec.add("--freqs", type=_int_csv, required=True)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_project(args):
-    _require_json_format(args)
-    value = modulation_projection(args.m, tuple(_parse_int_list(args.freqs)))
-    _emit_scalar(args, value)
-
-
-def _spec_energy() -> _CommandSpec:
-    spec = _CommandSpec("energy")
-    spec.add("--poly", type=str, required=True)
-    spec.add("--kind", type=str, required=True, choices=("trig", "walsh"))
-    spec.add("--set", type=str, required=True)
-    _add_output_flags(spec)
-    return spec
-
-
-def _run_energy(args):
-    _require_json_format(args)
-    S = _load_poly(args.poly, args.kind)
-    _emit_scalar(args, energy_on_set(S, IntervalSet.parse(args.set)))
-
-
-def _add_context_flags(spec: _CommandSpec):
-    spec.add("--kind", type=str, required=True, choices=("trig", "walsh"))
-    _add_sequence_flags(spec)
-    spec.add("--l", type=int, required=True)
-    spec.add("--d", type=int, default=None, help="representation bound (trig)")
+def _sequence_from_args(args) -> LacunarySequence:
+    if args.terms is not None:
+        terms = tuple(_parse_int_list(args.terms))
+        if args.lam is None:
+            raise InvalidInputError("--terms needs --lam (exact rational witness)")
+        return LacunarySequence(terms, lam=Fraction(args.lam))
+    if args.ratio is not None and args.length is not None:
+        lam = Fraction(args.lam) if args.lam is not None else None
+        return geometric_sequence(args.ratio, args.length, lam=lam)
+    raise InvalidInputError("supply --terms with --lam, or --ratio with --length")
 
 
 def _context_from_args(args):
@@ -529,42 +264,164 @@ def _context_from_args(args):
     return WalshContext(order=args.l)
 
 
-def _spec_inverse_check() -> _CommandSpec:
-    spec = _CommandSpec("inverse-check")
-    spec.add("--poly", type=str, required=True)
-    spec.add("--set", type=str, required=True)
-    _add_context_flags(spec)
-    _add_output_flags(spec)
-    return spec
+def _family_from_args(args):
+    if args.family == "walsh":
+        if args.exponent_budget is None:
+            raise InvalidInputError("walsh family needs --exponent-budget")
+        return walsh_family(args.l, args.exponent_budget)
+    return trig_family(_sequence_from_args(args), args.l)
 
 
+def _extremal_config(args) -> ExtremalConfig:
+    return ExtremalConfig(
+        restarts=args.restarts,
+        max_iter=args.max_iter,
+        seed=args.seed,
+        oversample=args.oversample,
+    )
+
+
+@_command("lambda", _L, _flag("--tol", type=float, default=1e-10), scalar=True)
+def _run_lambda(args):
+    return critical_lambda(args.l, tol=args.tol)
+
+
+@_command(
+    "validate",
+    _flag("--terms", type=_int_csv, required=True),
+    _flag("--lam", type=str, required=True),
+)
+def _run_validate(args):
+    report = validate_lacunary(_parse_int_list(args.terms), Fraction(args.lam))
+    violation = report["first_violation"]
+    if violation is not None:
+        violation = {"index": violation["index"], "pair": list(violation["pair"])}
+    return {"ok": report["ok"], "first_violation": violation}
+
+
+@_command(
+    "enumerate", *_SEQUENCE, _L, _VARIANT, _flag("--prefix-len", type=int, default=None)
+)
+def _run_enumerate(args):
+    seq = _sequence_from_args(args)
+    iset = enumerate_index_set(seq, args.l, args.variant, prefix_len=args.prefix_len)
+    return iset.to_json_dict()
+
+
+@_command("reps", *_SEQUENCE, _M, _L, _VARIANT)
+def _run_reps(args):
+    found = representations(_sequence_from_args(args), args.m, args.l, args.variant)
+    return {
+        "m": args.m,
+        "count": len(found),
+        "representations": [
+            {"indices": list(r.indices), "signs": list(r.signs), "head": r.head}
+            for r in found
+        ],
+    }
+
+
+@_command("heads", *_SEQUENCE, _L, _VARIANT)
+def _run_heads(args):
+    iset = enumerate_index_set(_sequence_from_args(args), args.l, args.variant)
+    return head_partition(iset).to_json_dict()
+
+
+@_command("counterexample", _L, _flag("--m-max", type=int, required=True))
+def _run_counterexample(args):
+    seq, report = counterexample_sequence(args.l, args.m_max)
+    return {**report, "terms": [str(t) for t in seq.terms]}
+
+
+@_command(
+    "walsh-shift",
+    _flag("--n", type=int, required=True),
+    _M,
+    _flag("--alpha", type=str, required=True, help="dyadic point, e.g. 3/8"),
+    scalar=True,
+)
+def _run_walsh_shift(args):
+    return shift_sum(
+        WalshIndex.from_value(args.n),
+        WalshIndex.from_value(args.m),
+        DyadicPoint.parse(args.alpha),
+    )
+
+
+@_command(
+    "find-alpha",
+    _flag("--set", type=str, required=True, help="e.g. 0/1:15/16"),
+    _flag("--exponents", type=_int_csv, required=True),
+    scalar=True,
+)
+def _run_find_alpha(args):
+    E = IntervalSet.parse(args.set)
+    point = find_alpha(E, tuple(_parse_int_list(args.exponents)))
+    return "absent" if point is None else point.as_fraction()
+
+
+@_command(
+    "recover",
+    _flag("--poly", type=str, required=True, help="walsh polynomial JSON file"),
+    _M,
+    _flag("--alpha", type=str, required=True),
+    scalar=True,
+)
+def _run_recover(args):
+    S = _load_poly(args.poly, "walsh")
+    return recover_coefficient(
+        S, WalshIndex.from_value(args.m), DyadicPoint.parse(args.alpha)
+    )
+
+
+@_command(
+    "norm", _POLY, _KIND, _P, _flag("--oversample", type=int, default=8), scalar=True
+)
+def _run_norm(args):
+    S = _load_poly(args.poly, args.kind)
+    if args.kind == "trig":
+        return lp_norm_trig(S, args.p, oversample=args.oversample)
+    return lp_norm_walsh(S, args.p)
+
+
+@_command("ratio", _POLY, _KIND, _P, scalar=True)
+def _run_ratio(args):
+    return khintchine_ratio(_load_poly(args.poly, args.kind), args.p)
+
+
+@_command(
+    "riesz",
+    _flag("--freqs", type=_int_csv, required=True),
+    _flag("--signs", type=_int_csv, default=None),
+)
+def _run_riesz(args):
+    freqs = tuple(_parse_int_list(args.freqs))
+    signs = (
+        tuple(_parse_int_list(args.signs))
+        if args.signs is not None
+        else tuple(1 for _ in freqs)
+    )
+    return riesz_product(freqs, signs).to_json_dict()
+
+
+@_command("project", _M, _flag("--freqs", type=_int_csv, required=True), scalar=True)
+def _run_project(args):
+    return modulation_projection(args.m, tuple(_parse_int_list(args.freqs)))
+
+
+@_command("energy", _POLY, _KIND, _SET, scalar=True)
+def _run_energy(args):
+    S = _load_poly(args.poly, args.kind)
+    return energy_on_set(S, IntervalSet.parse(args.set))
+
+
+@_command("inverse-check", _POLY, _SET, *_CONTEXT)
 def _run_inverse_check(args):
-    _require_json_format(args)
     S = _load_poly(args.poly, args.kind)
     report = inverse_parseval_check(
         S, IntervalSet.parse(args.set), _context_from_args(args)
     )
-    _emit(args, _report_text(args, report.to_json_dict()))
-
-
-def _spec_matrix_experiment() -> _CommandSpec:
-    spec = _CommandSpec("matrix-experiment")
-    spec.add("--coeffs", type=str, required=True, help="polynomial JSON file")
-    spec.add("--set", type=str, required=True)
-    _add_context_flags(spec)
-    spec.add(
-        "--matrix-kind",
-        type=str,
-        default="prefix-of-rearrangement",
-        choices=("prefix-of-rearrangement", "nested-sets", "custom"),
-    )
-    spec.add("--order", type=_int_csv, default=None, help="prefix column order")
-    spec.add("--matrix-file", type=str, default=None, help="sets/rows JSON file")
-    spec.add("--bound", type=float, default=1.0)
-    spec.add("--n-max", type=int, default=None)
-    spec.add("--zero-mode", action="store_true", default=False)
-    _add_output_flags(spec)
-    return spec
+    return report.to_json_dict()
 
 
 def _matrix_from_args(args, coeffs):
@@ -591,6 +448,24 @@ def _matrix_from_args(args, coeffs):
     )
 
 
+@_command(
+    "matrix-experiment",
+    _flag("--coeffs", type=str, required=True, help="polynomial JSON file"),
+    _SET,
+    *_CONTEXT,
+    _flag(
+        "--matrix-kind",
+        type=str,
+        default="prefix-of-rearrangement",
+        choices=("prefix-of-rearrangement", "nested-sets", "custom"),
+    ),
+    _flag("--order", type=_int_csv, default=None, help="prefix column order"),
+    _flag("--matrix-file", type=str, default=None, help="sets/rows JSON file"),
+    _flag("--bound", type=float, default=1.0),
+    _flag("--n-max", type=int, default=None),
+    _flag("--zero-mode", action="store_true", default=False),
+    formats=("json", "csv"),
+)
 def _run_matrix_experiment(args):
     poly = _load_poly(args.coeffs, args.kind)
     coeffs = dict(poly.coefficients)
@@ -606,73 +481,25 @@ def _run_matrix_experiment(args):
     rows = [r.to_json_dict() for r in report.rows]
     if args.format == "csv":
         header = ["n", "energy", "mass", "bound", "pass"]
-        table = [
-            [row["n"], row["energy"], row["mass"], row["bound"], row["pass"]]
-            for row in rows
-        ]
-        _emit(args, _csv_text(header, table))
-        return
+        return _csv_text(header, [[row[key] for key in header] for row in rows])
     summary = report.to_json_dict()
     del summary["rows"]
-    _emit(args, _jsonl_text(args, rows + [{"summary": summary}]))
+    return _jsonl_text(args, rows + [{"summary": summary}])
 
 
-def _add_extremal_flags(spec: _CommandSpec):
-    spec.add("--restarts", type=int, default=3)
-    spec.add("--max-iter", type=int, default=150)
-    spec.add("--step", type=float, default=0.5)
-    spec.add("--seed", type=int, default=0)
-    spec.add("--oversample", type=int, default=8)
-
-
-def _extremal_config(args) -> ExtremalConfig:
-    return ExtremalConfig(
-        restarts=args.restarts,
-        max_iter=args.max_iter,
-        step=args.step,
-        seed=args.seed,
-        oversample=args.oversample,
-    )
-
-
-def _family_from_args(args):
-    if args.family == "walsh":
-        if args.exponent_budget is None:
-            raise InvalidInputError("walsh family needs --exponent-budget")
-        return walsh_family(args.l, args.exponent_budget)
-    return trig_family(_sequence_from_args(args), args.l)
-
-
-def _spec_extremal() -> _CommandSpec:
-    spec = _CommandSpec("extremal")
-    spec.add("--family", type=str, required=True, choices=("walsh", "trig"))
-    spec.add("--l", type=int, required=True)
-    spec.add("--exponent-budget", type=int, default=None)
-    _add_sequence_flags(spec)
-    spec.add("--p", type=float, required=True)
-    _add_extremal_flags(spec)
-    _add_output_flags(spec)
-    return spec
-
-
+@_command("extremal", *_FAMILY, _P, *_SEARCH)
 def _run_extremal(args):
-    _require_json_format(args)
     result = maximize_ratio(_family_from_args(args), args.p, _extremal_config(args))
-    _emit(args, _report_text(args, result.to_json_dict()))
+    return result.to_json_dict()
 
 
-def _spec_growth() -> _CommandSpec:
-    spec = _CommandSpec("growth")
-    spec.add("--family", type=str, required=True, choices=("walsh", "trig"))
-    spec.add("--l", type=int, required=True)
-    spec.add("--exponent-budget", type=int, default=None)
-    _add_sequence_flags(spec)
-    spec.add("--p-list", type=_float_csv, required=True)
-    _add_extremal_flags(spec)
-    _add_output_flags(spec)
-    return spec
-
-
+@_command(
+    "growth",
+    *_FAMILY,
+    _flag("--p-list", type=_float_csv, required=True),
+    *_SEARCH,
+    formats=("json", "csv"),
+)
 def _run_growth(args):
     report = growth_exponent(
         _family_from_args(args),
@@ -680,55 +507,45 @@ def _run_growth(args):
         _extremal_config(args),
     )
     if args.format == "csv":
-        _emit(args, _csv_text(["p", "ratio"], report.to_csv_rows()))
-        return
-    _emit(args, _report_text(args, report.to_json_dict()))
+        return _csv_text(["p", "ratio"], report.to_csv_rows())
+    return report.to_json_dict()
 
 
-def _spec_blowup() -> _CommandSpec:
-    spec = _CommandSpec("blowup")
-    spec.add("--l", type=int, required=True)
-    spec.add("--p", type=float, required=True)
-    spec.add("--degree-list", type=_int_csv, required=True)
-    spec.add("--seed", type=int, default=0)
-    _add_output_flags(spec)
-    return spec
-
-
+@_command(
+    "blowup",
+    _L,
+    _P,
+    _flag("--degree-list", type=_int_csv, required=True),
+    _flag("--seed", type=int, default=0),
+    formats=("json", "csv"),
+)
 def _run_blowup(args):
     report = blowup_probe(
         args.l, args.p, _parse_int_list(args.degree_list), seed=args.seed
     )
     if args.format == "csv":
-        rows = [
-            [r.budget, r.ratio_critical, r.ratio_control] for r in report.rows
-        ]
-        _emit(args, _csv_text(["budget", "ratio_critical", "ratio_control"], rows))
-        return
-    _emit(args, _report_text(args, report.to_json_dict()))
+        rows = [[r.budget, r.ratio_critical, r.ratio_control] for r in report.rows]
+        return _csv_text(["budget", "ratio_critical", "ratio_control"], rows)
+    return report.to_json_dict()
 
 
-_SPECS = {
-    "lambda": (_spec_lambda, _run_lambda),
-    "validate": (_spec_validate, _run_validate),
-    "enumerate": (_spec_enumerate, _run_enumerate),
-    "reps": (_spec_reps, _run_reps),
-    "heads": (_spec_heads, _run_heads),
-    "counterexample": (_spec_counterexample, _run_counterexample),
-    "walsh-shift": (_spec_walsh_shift, _run_walsh_shift),
-    "find-alpha": (_spec_find_alpha, _run_find_alpha),
-    "recover": (_spec_recover, _run_recover),
-    "norm": (_spec_norm, _run_norm),
-    "ratio": (_spec_ratio, _run_ratio),
-    "riesz": (_spec_riesz, _run_riesz),
-    "project": (_spec_project, _run_project),
-    "energy": (_spec_energy, _run_energy),
-    "inverse-check": (_spec_inverse_check, _run_inverse_check),
-    "matrix-experiment": (_spec_matrix_experiment, _run_matrix_experiment),
-    "extremal": (_spec_extremal, _run_extremal),
-    "growth": (_spec_growth, _run_growth),
-    "blowup": (_spec_blowup, _run_blowup),
-}
+# ---------------------------------------------------------------------------
+# parsing and dispatch
+
+
+def _build_parser(name: str, rows: tuple, formats: tuple):
+    """The subcommand's parser and its actions keyed by dest."""
+    parser = _Parser(prog=f"lacuna {name}", description=None)
+    rows += (
+        _flag("--output", type=str, default=None, help="report file path"),
+        _flag("--format", type=str, default="json", choices=formats),
+        _flag("--config", type=str, default=None, help="key=value config file"),
+    )
+    actions = {}
+    for flag, kwargs in rows:
+        action = parser.add_argument(flag, **kwargs)
+        actions[action.dest] = action
+    return parser, actions
 
 
 def _scan_config_path(argv: list) -> str | None:
@@ -747,45 +564,37 @@ def _load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _CliFailure(
-            65, {"error": "malformed-config", "message": f"cannot read {path}: {exc}"}
-        )
+        raise _config_failure(f"cannot read {path}: {exc}")
     values = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise _CliFailure(
-                65,
-                {
-                    "error": "malformed-config",
-                    "message": f"{path}:{lineno}: expected key=value",
-                },
-            )
+            raise _config_failure(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
-def _apply_config(spec: _CommandSpec, raw: dict) -> dict:
+def _apply_config(actions: dict, raw: dict) -> dict:
+    """Type each config value as its flag would, and check its choices."""
     typed = {}
     for key, text in raw.items():
-        if key not in spec.converters:
-            raise _CliFailure(
-                65,
-                {"error": "malformed-config", "message": f"unknown config key {key!r}"},
-            )
+        action = actions.get(key)
+        if action is None:
+            raise _config_failure(f"unknown config key {key!r}")
+        convert = _parse_bool if action.nargs == 0 else action.type
         try:
-            typed[key] = spec.converters[key](text)
+            value = convert(text)
         except (ValueError, TypeError) as exc:
-            raise _CliFailure(
-                65,
-                {
-                    "error": "malformed-config",
-                    "message": f"bad value for {key!r}: {exc}",
-                },
+            raise _config_failure(f"bad value for {key!r}: {exc}")
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise _config_failure(
+                f"bad value for {key!r}: {value!r} is not one of {choices}"
             )
+        typed[key] = value
     return typed
 
 
@@ -793,30 +602,29 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in ("-h", "--help"):
         sys.stdout.write("usage: lacuna <subcommand> [flags]\nsubcommands: ")
-        sys.stdout.write(", ".join(COMMANDS) + "\n")
+        sys.stdout.write(", ".join(_COMMANDS) + "\n")
         return 0
     command = argv[0] if argv else None
-    if command not in _SPECS:
+    if command not in _COMMANDS:
         payload = {
             "error": "unknown-subcommand",
             "message": f"unknown subcommand {command!r}; expected one of "
-            + ", ".join(COMMANDS),
+            + ", ".join(_COMMANDS),
         }
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         return 64
+    rows, formats, scalar, run = _COMMANDS[command]
     rest = argv[1:]
     try:
-        build, run = _SPECS[command]
-        spec = build()
+        parser, actions = _build_parser(command, rows, formats)
         config_path = _scan_config_path(rest)
         if config_path is not None:
-            typed = _apply_config(spec, _load_config_file(config_path))
-            spec.parser.set_defaults(**typed)
+            typed = _apply_config(actions, _load_config_file(config_path))
+            parser.set_defaults(**typed)
             for dest in typed:
-                spec.actions[dest].required = False
-        args = spec.parser.parse_args(rest)
-        args.command = command
-        run(args)
+                actions[dest].required = False
+        args = parser.parse_args(rest)
+        _emit(args, run(args), scalar)
         return 0
     except _CliFailure as exc:
         sys.stderr.write(json.dumps(exc.payload, sort_keys=True) + "\n")

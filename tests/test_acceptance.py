@@ -14,7 +14,6 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from lacuna import (
     DyadicPoint,

@@ -36,6 +36,51 @@ TRIG_POLY = {
 }
 
 
+# the README's CLI lines, in README order; "poly.json" is the Walsh or
+# trig file the line's --kind needs
+README_ARGV = [
+    ["lambda", "--l", "3"],
+    ["validate", "--terms", "2,4,8", "--lam", "3"],
+    ["enumerate", "--terms", "4,16,64", "--lam", "3", "--l", "2"],
+    ["reps", "--terms", "4,16,64", "--lam", "3", "--m", "12", "--l", "2"],
+    ["heads", "--terms", "4,16,64", "--lam", "3", "--l", "2"],
+    ["counterexample", "--l", "2", "--m-max", "20"],
+    ["walsh-shift", "--n", "6", "--m", "6", "--alpha", "0/1"],
+    ["find-alpha", "--set", "0/1:4/5", "--exponents", "2,1"],
+    ["recover", "--poly", "poly.json", "--m", "6", "--alpha", "3/8"],
+    ["norm", "--poly", "poly.json", "--kind", "walsh", "--p", "4"],
+    ["ratio", "--poly", "poly.json", "--kind", "walsh", "--p", "4"],
+    ["riesz", "--freqs", "4,16,64"],
+    ["project", "--m", "12", "--freqs", "4,16"],
+    ["energy", "--poly", "poly.json", "--kind", "trig", "--set", "0/1:1/2"],
+    [
+        "inverse-check", "--poly", "poly.json", "--kind", "trig",
+        "--set", "0/1:63/64", "--terms", "4,16,64,256", "--lam", "3",
+        "--l", "2", "--d", "1",
+    ],
+    [
+        "matrix-experiment", "--coeffs", "poly.json", "--kind", "trig",
+        "--set", "0/1:1/1", "--terms", "4,16,64,256", "--lam", "3",
+        "--l", "2", "--d", "1", "--matrix-kind", "prefix-of-rearrangement",
+        "--order", "20,68",
+    ],
+    ["extremal", "--family", "walsh", "--l", "2", "--exponent-budget", "6", "--p", "4"],
+    [
+        "growth", "--family", "walsh", "--l", "2", "--exponent-budget", "8",
+        "--p-list", "4,8,16,32", "--format", "csv",
+    ],
+    ["blowup", "--l", "2", "--p", "4", "--degree-list", "2,4,8"],
+]
+CSV_COMMANDS = ("matrix-experiment", "growth", "blowup")
+
+
+def readme_argv(tmp_path, argv):
+    """The line with poly.json replaced by a file of the kind it needs."""
+    data = TRIG_POLY if "trig" in argv else WALSH_POLY
+    poly = write_poly(tmp_path, "poly.json", data)
+    return [poly if token == "poly.json" else token for token in argv]
+
+
 # --- scalar commands ------------------------------------------------------
 
 
@@ -259,6 +304,38 @@ def test_config_bad_value_type_is_65(capsys, tmp_path):
     assert code == 65
 
 
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        (
+            "family = foo",
+            ["extremal", "--l", "2", "--exponent-budget", "4", "--p", "4"],
+        ),
+        ("format = csv", ["lambda", "--l", "3"]),
+    ],
+)
+def test_config_value_outside_choices_is_65(capsys, tmp_path, line, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 65
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-config"
+
+
+def test_config_sets_store_true_flag(capsys, tmp_path):
+    argv = readme_argv(tmp_path, README_ARGV[15])
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("zero-mode = yes\n")
+    code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["config"]["zero_mode"] is True
+    cfg.write_text("zero-mode = maybe\n")
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 65
+    assert json.loads(err)["error"] == "malformed-config"
+
+
 # --- report files ---------------------------------------------------------
 
 
@@ -288,6 +365,21 @@ def test_output_rerun_is_byte_identical(capsys, tmp_path):
     assert b"schema_version" in a.read_bytes()
 
 
+def test_growth_report_carries_cli_config(capsys, tmp_path):
+    out_file = tmp_path / "g.json"
+    code, _, _ = run_cli(
+        capsys,
+        "growth", "--family", "walsh", "--l", "2", "--exponent-budget", "5",
+        "--p-list", "3,4,6,8", "--restarts", "1", "--max-iter", "10",
+        "--output", str(out_file),
+    )
+    assert code == 0
+    config = json.loads(out_file.read_text())["config"]
+    assert config["family"] == "walsh"
+    assert config["p_list"] == "3,4,6,8"
+    assert config["restarts"] == 1
+
+
 def test_output_has_no_timestamps(capsys, tmp_path):
     out_file = tmp_path / "r.json"
     run_cli(capsys, "project", "--m", "12", "--freqs", "4,16", "--output", str(out_file))
@@ -310,10 +402,33 @@ def test_growth_csv_format(capsys):
     assert float(lines[1].split(",")[0]) == 3.0
 
 
-def test_scalar_commands_reject_csv(capsys):
-    code, _, err = run_cli(capsys, "lambda", "--l", "3", "--format", "csv")
-    assert code == 2
-    assert json.loads(err)["error"] == "invalid-input"
+def test_scalar_commands_reject_csv(capsys, tmp_path):
+    json_only = [argv for argv in README_ARGV if argv[0] not in CSV_COMMANDS]
+    assert len(json_only) == 16
+    for argv in json_only:
+        argv = readme_argv(tmp_path, argv)
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2, argv[0]
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_matrix_experiment_csv(capsys, tmp_path):
+    argv = readme_argv(tmp_path, README_ARGV[15])
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,energy,mass,bound,pass"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+    assert all(line.endswith(",true") for line in lines[1:])
+
+
+def test_help_lists_subcommands_in_readme_order(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    names = [argv[0] for argv in README_ARGV]
+    assert len(names) == 19
+    assert out.splitlines()[1] == "subcommands: " + ", ".join(names)
 
 
 def test_matrix_experiment_jsonl(capsys, tmp_path):
@@ -393,15 +508,6 @@ def test_geometric_sequence_flags(capsys):
     assert code == 0
     values = [e["value"] for e in json.loads(out)["entries"]]
     assert max(values) == 80
-
-
-def test_threads_env_recorded(capsys, tmp_path, monkeypatch):
-    out_file = tmp_path / "r.json"
-    run_cli(capsys, "lambda", "--l", "3", "--output", str(out_file))
-    assert json.loads(out_file.read_text())["config"]["threads"] is None
-    monkeypatch.setenv("LACUNA_THREADS", "2")
-    run_cli(capsys, "lambda", "--l", "3", "--output", str(out_file))
-    assert json.loads(out_file.read_text())["config"]["threads"] == 2
 
 
 def test_atomic_write_leaves_no_partials(capsys, tmp_path):
