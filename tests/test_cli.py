@@ -36,49 +36,48 @@ TRIG_POLY = {
 }
 
 
-# the README's CLI lines, in README order; "poly.json" is the Walsh or
-# trig file the line's --kind needs
-README_ARGV = [
-    ["lambda", "--l", "3"],
-    ["validate", "--terms", "2,4,8", "--lam", "3"],
-    ["enumerate", "--terms", "4,16,64", "--lam", "3", "--l", "2"],
-    ["reps", "--terms", "4,16,64", "--lam", "3", "--m", "12", "--l", "2"],
-    ["heads", "--terms", "4,16,64", "--lam", "3", "--l", "2"],
-    ["counterexample", "--l", "2", "--m-max", "20"],
-    ["walsh-shift", "--n", "6", "--m", "6", "--alpha", "0/1"],
-    ["find-alpha", "--set", "0/1:4/5", "--exponents", "2,1"],
-    ["recover", "--poly", "poly.json", "--m", "6", "--alpha", "3/8"],
-    ["norm", "--poly", "poly.json", "--kind", "walsh", "--p", "4"],
-    ["ratio", "--poly", "poly.json", "--kind", "walsh", "--p", "4"],
-    ["riesz", "--freqs", "4,16,64"],
-    ["project", "--m", "12", "--freqs", "4,16"],
-    ["energy", "--poly", "poly.json", "--kind", "trig", "--set", "0/1:1/2"],
-    [
-        "inverse-check", "--poly", "poly.json", "--kind", "trig",
-        "--set", "0/1:63/64", "--terms", "4,16,64,256", "--lam", "3",
-        "--l", "2", "--d", "1",
+# the README's CLI lines by subcommand, in README order; "poly.json"
+# stands for the Walsh or trig file the line's --kind needs
+README_LINES = {
+    "lambda": ["--l", "3"],
+    "validate": ["--terms", "2,4,8", "--lam", "3"],
+    "enumerate": ["--terms", "4,16,64", "--lam", "3", "--l", "2"],
+    "reps": ["--terms", "4,16,64", "--lam", "3", "--m", "12", "--l", "2"],
+    "heads": ["--terms", "4,16,64", "--lam", "3", "--l", "2"],
+    "counterexample": ["--l", "2", "--m-max", "20"],
+    "walsh-shift": ["--n", "6", "--m", "6", "--alpha", "0/1"],
+    "find-alpha": ["--set", "0/1:4/5", "--exponents", "2,1"],
+    "recover": ["--poly", "poly.json", "--m", "6", "--alpha", "3/8"],
+    "norm": ["--poly", "poly.json", "--kind", "walsh", "--p", "4"],
+    "ratio": ["--poly", "poly.json", "--kind", "walsh", "--p", "4"],
+    "riesz": ["--freqs", "4,16,64"],
+    "project": ["--m", "12", "--freqs", "4,16"],
+    "energy": ["--poly", "poly.json", "--kind", "trig", "--set", "0/1:1/2"],
+    "inverse-check": [
+        "--poly", "poly.json", "--kind", "trig", "--set", "0/1:63/64",
+        "--terms", "4,16,64,256", "--lam", "3", "--l", "2", "--d", "1",
     ],
-    [
-        "matrix-experiment", "--coeffs", "poly.json", "--kind", "trig",
-        "--set", "0/1:1/1", "--terms", "4,16,64,256", "--lam", "3",
-        "--l", "2", "--d", "1", "--matrix-kind", "prefix-of-rearrangement",
-        "--order", "20,68",
+    "matrix-experiment": [
+        "--coeffs", "poly.json", "--kind", "trig", "--set", "0/1:1/1",
+        "--terms", "4,16,64,256", "--lam", "3", "--l", "2", "--d", "1",
+        "--matrix-kind", "prefix-of-rearrangement", "--order", "20,68",
     ],
-    ["extremal", "--family", "walsh", "--l", "2", "--exponent-budget", "6", "--p", "4"],
-    [
-        "growth", "--family", "walsh", "--l", "2", "--exponent-budget", "8",
+    "extremal": ["--family", "walsh", "--l", "2", "--exponent-budget", "6", "--p", "4"],
+    "growth": [
+        "--family", "walsh", "--l", "2", "--exponent-budget", "8",
         "--p-list", "4,8,16,32", "--format", "csv",
     ],
-    ["blowup", "--l", "2", "--p", "4", "--degree-list", "2,4,8"],
-]
+    "blowup": ["--l", "2", "--p", "4", "--degree-list", "2,4,8"],
+}
 CSV_COMMANDS = ("matrix-experiment", "growth", "blowup")
 
 
-def readme_argv(tmp_path, argv):
-    """The line with poly.json replaced by a file of the kind it needs."""
-    data = TRIG_POLY if "trig" in argv else WALSH_POLY
+def readme_argv(tmp_path, name):
+    """The README line of ``name`` with poly.json written to tmp_path."""
+    args = README_LINES[name]
+    data = TRIG_POLY if "trig" in args else WALSH_POLY
     poly = write_poly(tmp_path, "poly.json", data)
-    return [poly if token == "poly.json" else token for token in argv]
+    return [name] + [poly if token == "poly.json" else token for token in args]
 
 
 # --- scalar commands ------------------------------------------------------
@@ -324,7 +323,7 @@ def test_config_value_outside_choices_is_65(capsys, tmp_path, line, argv):
 
 
 def test_config_sets_store_true_flag(capsys, tmp_path):
-    argv = readme_argv(tmp_path, README_ARGV[15])
+    argv = readme_argv(tmp_path, "matrix-experiment")
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("zero-mode = yes\n")
     code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
@@ -403,18 +402,18 @@ def test_growth_csv_format(capsys):
 
 
 def test_scalar_commands_reject_csv(capsys, tmp_path):
-    json_only = [argv for argv in README_ARGV if argv[0] not in CSV_COMMANDS]
+    json_only = [name for name in README_LINES if name not in CSV_COMMANDS]
     assert len(json_only) == 16
-    for argv in json_only:
-        argv = readme_argv(tmp_path, argv)
+    for name in json_only:
+        argv = readme_argv(tmp_path, name)
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
-        assert code == 2, argv[0]
+        assert code == 2, name
         assert out == ""
         assert json.loads(err)["error"] == "invalid-input"
 
 
 def test_matrix_experiment_csv(capsys, tmp_path):
-    argv = readme_argv(tmp_path, README_ARGV[15])
+    argv = readme_argv(tmp_path, "matrix-experiment")
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
@@ -426,9 +425,8 @@ def test_matrix_experiment_csv(capsys, tmp_path):
 def test_help_lists_subcommands_in_readme_order(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
-    names = [argv[0] for argv in README_ARGV]
-    assert len(names) == 19
-    assert out.splitlines()[1] == "subcommands: " + ", ".join(names)
+    assert len(README_LINES) == 19
+    assert out.splitlines()[1] == "subcommands: " + ", ".join(README_LINES)
 
 
 def test_matrix_experiment_jsonl(capsys, tmp_path):
