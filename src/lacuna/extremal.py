@@ -509,7 +509,7 @@ def blowup_probe(
     budgets = sorted(set(int(b) for b in degree_list))
     if not budgets or budgets[0] < 1:
         raise InvalidInputError("degree budgets must be positive")
-    config = ExtremalConfig(restarts=2, max_iter=80, step=0.5, seed=seed)
+    config = ExtremalConfig(restarts=2, max_iter=80, seed=seed)
     warnings.warn(
         "exact critical construction needs frequencies beyond the grid "
         "budget; degrading to a scaled congruent sequence",

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .lacunary import (
     LacunarySequence,
-    _check_witness_exceeds_critical,
+    _head_bounds,
     empirical_mixed_bound,
     representations,
 )
@@ -39,7 +39,7 @@ def alpha_threshold(l: int, d: int) -> float:
         raise InvalidOrderError("order must be >= 2")
     if not isinstance(d, int) or d < 1:
         raise InvalidInputError("representation bound d must be a positive integer")
-    return 1.0 - 1.0 / (d * 2 ** (l + 1))
+    return float(_alpha_threshold_exact(l, d))
 
 
 def _alpha_threshold_exact(l: int, d: int) -> Fraction:
@@ -56,10 +56,34 @@ class TrigContext:
     order: int
     d: int | None = None
 
+    polynomial = TrigPolynomial
+
     def resolved_d(self) -> int:
         if self.d is not None:
             return self.d
         return empirical_mixed_bound(self.sequence, self.order)
+
+    def _bound(self, S) -> tuple[Fraction, float, list[str]]:
+        """Exact measure threshold 1 - 1/(d*2^(l+1)), margin 1/2 and
+        notes, once S is checked to be a positive-sum chaos polynomial."""
+        if not isinstance(S, TrigPolynomial):
+            raise InvalidInputError("trig context expects a TrigPolynomial")
+        l = self.order
+        for m in S.coefficients:
+            if not representations(self.sequence, m, l, "positive"):
+                raise InvalidSupportError(
+                    f"frequency {m} is not a positive sum of at most {l} sequence terms"
+                )
+        notes = []
+        if _head_bounds(self.sequence.lam, l + 1)[0] <= 0:
+            notes.append(
+                "sequence witness does not exceed the order-%d critical ratio; "
+                "the lower bound is not guaranteed" % (l + 1)
+            )
+        d = self.resolved_d()
+        if self.d is None:
+            notes.append(f"d={d} measured over the sequence window")
+        return _alpha_threshold_exact(l, d), 0.5, notes
 
 
 @dataclass(frozen=True)
@@ -67,6 +91,27 @@ class WalshContext:
     """Dyadic chaos of orders 1..order."""
 
     order: int
+
+    polynomial = WalshPolynomial
+
+    def _bound(self, S) -> tuple[Fraction, float, list[str]]:
+        """Exact measure threshold 1 - 2^(-4l), margin l^(-1/4) and notes,
+        once S is checked to be a dyadic chaos of orders 1..l, l >= 2."""
+        if not isinstance(S, WalshPolynomial):
+            raise InvalidInputError("walsh context expects a WalshPolynomial")
+        l = self.order
+        if l < 2:
+            raise InvalidOrderError("order must be >= 2")
+        for m in S.coefficients:
+            if m == 0 or WalshIndex.from_value(m).order > l:
+                raise InvalidSupportError(
+                    f"index {m} is not a dyadic sum of 1..{l} powers"
+                )
+        notes = ["walsh threshold 1-2^-%d in force (margin constant l^-1/4)" % (4 * l)]
+        return 1 - Fraction(1, 2 ** (4 * l)), l**-0.25, notes
+
+
+_CONTEXTS = (TrigContext, WalshContext)
 
 
 @dataclass(frozen=True)
@@ -91,23 +136,6 @@ class InverseParsevalReport:
         }
 
 
-def _validate_trig_support(S: TrigPolynomial, context: TrigContext) -> None:
-    for m in S.coefficients:
-        if not representations(context.sequence, m, context.order, "positive"):
-            raise InvalidSupportError(
-                f"frequency {m} is not a positive sum of at most "
-                f"{context.order} sequence terms"
-            )
-
-
-def _validate_walsh_support(S: WalshPolynomial, order: int) -> None:
-    for m in S.coefficients:
-        if m == 0 or WalshIndex.from_value(m).order > order:
-            raise InvalidSupportError(
-                f"index {m} is not a dyadic sum of 1..{order} powers"
-            )
-
-
 def inverse_parseval_check(S, E: IntervalSet, context) -> InverseParsevalReport:
     """Check energy(S over E) > c * coefficient mass.
 
@@ -118,38 +146,11 @@ def inverse_parseval_check(S, E: IntervalSet, context) -> InverseParsevalReport:
     trig-side threshold).  ``passed`` requires both the measure
     condition and the strict energy inequality.
     """
-    notes: list[str] = []
-    if isinstance(context, TrigContext):
-        if not isinstance(S, TrigPolynomial):
-            raise InvalidInputError("trig context expects a TrigPolynomial")
-        l = context.order
-        _validate_trig_support(S, context)
-        if not _check_witness_exceeds_critical(context.sequence.lam, l + 1):
-            notes.append(
-                "sequence witness does not exceed the order-%d critical ratio; "
-                "the lower bound is not guaranteed" % (l + 1)
-            )
-        d = context.resolved_d()
-        if context.d is None:
-            notes.append(f"d={d} measured over the sequence window")
-        threshold = _alpha_threshold_exact(l, d)
-        lower_constant = float(E.measure) - 0.5
-        mass = sum(abs(complex(c)) ** 2 for c in S.coefficients.values())
-    elif isinstance(context, WalshContext):
-        if not isinstance(S, WalshPolynomial):
-            raise InvalidInputError("walsh context expects a WalshPolynomial")
-        l = context.order
-        if l < 2:
-            raise InvalidOrderError("order must be >= 2")
-        _validate_walsh_support(S, l)
-        threshold = 1 - Fraction(1, 2 ** (4 * l))
-        lower_constant = float(E.measure) - l**-0.25
-        mass = sum(float(c) ** 2 for c in S.coefficients.values())
-        notes.append(
-            "walsh threshold 1-2^-%d in force (margin constant l^-1/4)" % (4 * l)
-        )
-    else:
+    if not isinstance(context, _CONTEXTS):
         raise InvalidInputError("context must be TrigContext or WalshContext")
+    threshold, margin, notes = context._bound(S)
+    lower_constant = float(E.measure) - margin
+    mass = S.mass
     if mass == 0:
         notes.append("zero polynomial: the strict inequality is vacuously absent")
     energy = energy_on_set(S, E)
@@ -157,7 +158,7 @@ def inverse_parseval_check(S, E: IntervalSet, context) -> InverseParsevalReport:
     passed = bool(measure_ok and energy > lower_constant * mass)
     return InverseParsevalReport(
         energy=energy,
-        coefficient_mass=float(mass),
+        coefficient_mass=mass,
         threshold=float(threshold),
         lower_constant=lower_constant,
         passed=passed,
@@ -325,50 +326,22 @@ def inverse_bound_experiment(
     the rows is the converse reading: masked mass is at most
     energy / c, so vanishing energies force vanishing coefficients.
     """
-    if isinstance(context, TrigContext):
-        probe = TrigPolynomial(dict(coeffs))
-        _validate_trig_support(probe, context)
-        lower_constant = float(E.measure) - 0.5
-        threshold = _alpha_threshold_exact(context.order, context.resolved_d())
-
-        def make_poly(masked):
-            return TrigPolynomial(masked)
-
-        def mass_of(masked):
-            return sum(abs(complex(c)) ** 2 for c in masked.values())
-
-    elif isinstance(context, WalshContext):
-        probe = WalshPolynomial({m: float(c) for m, c in coeffs.items()})
-        _validate_walsh_support(probe, context.order)
-        lower_constant = float(E.measure) - context.order**-0.25
-        threshold = 1 - Fraction(1, 2 ** (4 * context.order))
-
-        def make_poly(masked):
-            return WalshPolynomial(masked)
-
-        def mass_of(masked):
-            return sum(float(c) ** 2 for c in masked.values())
-
-    else:
+    if not isinstance(context, _CONTEXTS):
         raise InvalidInputError("context must be TrigContext or WalshContext")
-
+    threshold, margin, _ = context._bound(context.polynomial(coeffs))
+    lower_constant = float(E.measure) - margin
     hypothesis_met = E.measure > threshold
     count = len(matrix.rows) if n_max is None else min(n_max, len(matrix.rows))
     records = []
     for n in range(1, count + 1):
         row = matrix.rows[n - 1]
-        masked = {m: t * coeffs[m] for m, t in row.items() if m in coeffs and t != 0}
-        energy = energy_on_set(make_poly(masked), E) if masked else 0.0
-        mass = mass_of(masked)
+        S_n = context.polynomial(
+            {m: t * coeffs[m] for m, t in row.items() if m in coeffs and t != 0}
+        )
+        energy, mass = energy_on_set(S_n, E), S_n.mass
         bound = lower_constant * mass
         records.append(
-            ExperimentRow(
-                n=n,
-                energy=energy,
-                mass=mass,
-                bound=bound,
-                passed=bool(energy > bound),
-            )
+            ExperimentRow(n, energy, mass, bound, passed=bool(energy > bound))
         )
     implied = None
     if lower_constant > 0 and records:

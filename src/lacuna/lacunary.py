@@ -167,10 +167,6 @@ class LacunarySequence:
     def prefix(self, n: int) -> "LacunarySequence":
         return LacunarySequence(self.terms[:n], self.lam)
 
-    @property
-    def reachable_sum(self) -> int:
-        return sum(self.terms)
-
 
 def geometric_sequence(ratio: int, length: int, lam=None) -> LacunarySequence:
     """Terms ratio, ratio^2, ..., ratio^length with a default witness ratio-1."""
@@ -397,12 +393,15 @@ def representations(
     return sorted(found, key=_REP_SORT_KEY)
 
 
-def _check_witness_exceeds_critical(lam: Fraction, order: int) -> bool:
-    # lam > lambda_order  <=>  sum_{t=1..order-1} lam^{-t} < 1, exactly.
-    tail = Fraction(0)
-    for t in range(1, order):
-        tail += lam**-t
-    return tail < 1
+def _head_bounds(lam: Fraction, order: int) -> tuple[Fraction, Fraction]:
+    """(1 - tail, 1 + tail) with tail = sum_{t=1..order-1} lam^{-t}, exactly.
+
+    An order-``order`` sum with leading term n lies strictly between
+    the two multiples of n, and the lower one is positive exactly when
+    lam exceeds the order-``order`` critical ratio.
+    """
+    tail = sum((lam**-t for t in range(1, order)), Fraction(0))
+    return 1 - tail, 1 + tail
 
 
 def mixed_representation_count(seq: LacunarySequence, m: int, l: int) -> int:
@@ -415,7 +414,7 @@ def mixed_representation_count(seq: LacunarySequence, m: int, l: int) -> int:
     """
     if not isinstance(l, int) or l < 1:
         raise InvalidOrderError("order must be >= 1")
-    if not _check_witness_exceeds_critical(seq.lam, l + 1):
+    if _head_bounds(seq.lam, l + 1)[0] <= 0:
         warnings.warn(
             "lacunarity witness does not exceed the order-%d critical ratio; "
             "mixed representation counts may grow with the prefix" % (l + 1),
@@ -532,15 +531,10 @@ def head_partition(
     if seq is None:
         seq = index_set.sequence
     l = index_set.order
-    lam = seq.lam
-    a = Fraction(1)
-    b = Fraction(1)
-    for j in range(1, l):
-        a -= lam**-j
-        b += lam**-j
+    a, b = _head_bounds(seq.lam, l)
     if l >= 2 and a <= 0:
         raise PreconditionError(
-            f"witness {lam} is at or below the order-{l} critical ratio; "
+            f"witness {seq.lam} is at or below the order-{l} critical ratio; "
             "head blocks are not separated"
         )
     blocks: dict[int, list[int]] = {}

@@ -48,8 +48,13 @@ class TrigPolynomial:
             return 0
         return max(abs(m) for m in self.coefficients)
 
+    @property
+    def mass(self) -> float:
+        """Sum of squared coefficient moduli, the L^2 norm squared."""
+        return float(sum(abs(complex(c)) ** 2 for c in self.coefficients.values()))
+
     def norm2(self) -> float:
-        return float(np.sqrt(sum(abs(complex(c)) ** 2 for c in self.coefficients.values())))
+        return float(np.sqrt(self.mass))
 
     def __len__(self) -> int:
         return len(self.coefficients)

@@ -95,13 +95,6 @@ class DyadicPoint:
             return 0
         return (self.numerator >> (self.scale - k)) & 1
 
-    def xor(self, other: "DyadicPoint") -> "DyadicPoint":
-        """Digit-wise XOR (the dyadic group operation)."""
-        scale = max(self.scale, other.scale)
-        a = self.at_scale(scale).numerator
-        b = other.at_scale(scale).numerator
-        return DyadicPoint(a ^ b, scale)
-
     def xor_pow2(self, k: int) -> "DyadicPoint":
         """Flip digit k, i.e. XOR with 2**-k."""
         if k < 1:
@@ -268,8 +261,13 @@ class WalshPolynomial:
         space = _CellSpace(self.coefficients, scale)
         return space.values(np.array(list(self.coefficients.values()), dtype=np.float64))
 
+    @property
+    def mass(self) -> float:
+        """Sum of squared coefficients, the L^2 norm squared."""
+        return float(sum(float(a) ** 2 for a in self.coefficients.values()))
+
     def norm2(self) -> float:
-        return float(np.sqrt(sum(float(a) ** 2 for a in self.coefficients.values())))
+        return float(np.sqrt(self.mass))
 
     def to_json_dict(self) -> dict:
         return {

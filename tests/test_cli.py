@@ -420,6 +420,15 @@ def test_matrix_experiment_csv(capsys, tmp_path):
     assert lines[0] == "n,energy,mass,bound,pass"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
     assert all(line.endswith(",true") for line in lines[1:])
+    # a custom row that selects no coefficient has float zeros throughout
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"rows": [{"20": 1.0}, {"4": 1.0}]}))
+    code, out, _ = run_cli(
+        capsys, *argv, "--matrix-kind", "custom", "--matrix-file", str(rows),
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.strip().splitlines()[2] == "2,0.0,0.0,0.0,false"
 
 
 def test_help_lists_subcommands_in_readme_order(capsys):

@@ -136,6 +136,9 @@ def test_check_type_mismatch():
         )
     with pytest.raises(InvalidInputError):
         inverse_parseval_check(TrigPolynomial({20: 1.0}), IntervalSet([(0, 1)]), object())
+    mat = build_summation_matrix("prefix-of-rearrangement", order=[20])
+    with pytest.raises(InvalidInputError):
+        inverse_bound_experiment({20: 1.0}, mat, IntervalSet([(0, 1)]), object())
 
 
 def test_check_support_violations():
@@ -155,6 +158,13 @@ def test_check_walsh_low_order_rejected():
         inverse_parseval_check(
             WalshPolynomial({2: 1.0}), IntervalSet([(0, 1)]), WalshContext(order=1)
         )
+    # the experiment applies the same rule, before support or rows
+    for coeffs in ({2: 1.0}, {6: 1.0}):
+        mat = build_summation_matrix("prefix-of-rearrangement", order=list(coeffs))
+        with pytest.raises(InvalidOrderError):
+            inverse_bound_experiment(
+                coeffs, mat, IntervalSet([(0, 1)]), WalshContext(order=1)
+            )
 
 
 def test_check_zero_polynomial_notes():
@@ -302,6 +312,16 @@ def test_experiment_row_json_shape():
         {"n", "energy", "mass", "bound", "pass"}
     ] * 2
     assert data["rows"][0]["n"] == 1
+
+
+def test_experiment_row_selecting_nothing_has_float_mass():
+    mat = build_summation_matrix("custom", rows=[{20: 1.0}, {80: 0.5}])
+    for coeffs, ctx in (({20: 1.0 + 0j}, trig_ctx()), ({6: 1.0}, WalshContext(2))):
+        report = inverse_bound_experiment(coeffs, mat, IntervalSet([(0, 1)]), ctx)
+        empty = report.to_json_dict()["rows"][1]
+        assert (empty["energy"], empty["mass"], empty["bound"]) == (0.0, 0.0, 0.0)
+        assert type(empty["mass"]) is float
+        assert not empty["pass"]
 
 
 def test_experiment_n_max_truncates():

@@ -237,6 +237,28 @@ def test_walsh_energy_full_circle_is_parseval():
     assert energy_on_set(poly, E) == pytest.approx(want, abs=1e-12)
 
 
+def test_walsh_energy_at_the_scale_cap():
+    poly = WalshPolynomial({2**20: 1.0, 6: 0.5})
+    assert poly.max_scale == 20
+    assert energy_on_set(poly, IntervalSet.full()) == pytest.approx(1.25, abs=1e-12)
+    E = IntervalSet(
+        [(Fraction(1, 3), Fraction(5, 7)), (Fraction(7, 9), Fraction(999_999, 10**6))]
+    )
+    got = energy_on_set(poly, E) + energy_on_set(poly, E.complement())
+    assert got == pytest.approx(poly.mass, abs=1e-10)
+
+
+def test_walsh_energy_of_a_thin_interval_keeps_relative_accuracy():
+    # a width-1e-6 piece far from 0 must not be the difference of two
+    # running sums near the full mass
+    poly = WalshPolynomial({2**13: 1.0, 6: 0.5, 2: -0.25})
+    a = Fraction(1, 2) + Fraction(1, 3 * 2**14)
+    E = IntervalSet([(a, a + Fraction(1, 10**6))])
+    v = poly.evaluate(DyadicPoint(2**12, 13))
+    want = float(Fraction(v) ** 2 / 10**6)
+    assert energy_on_set(poly, E) == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_walsh_energy_cap_precedes_cell_evaluation(monkeypatch):
     import lacuna.walsh
 
