@@ -32,7 +32,7 @@ from .lacunary import (
     dyadic_sequence,
     enumerate_index_set,
 )
-from .trig import _GridSpace, _grid_size
+from .trig import _GridSpace, _grid_size, _next_smooth
 from .walsh import _CellSpace
 
 EPS_REG = 1e-14
@@ -48,6 +48,8 @@ class ExtremalConfig:
     max_iter: int = 150
     step: float = 0.5
     seed: int = 0
+    # the trig search grid is the smallest 5-smooth size at or above
+    # oversample * (2 * degree + 1)
     oversample: int = 8
 
     def validate(self) -> None:
@@ -69,13 +71,33 @@ class ExtremalConfig:
 
 
 @dataclass(frozen=True)
+class RunSummary:
+    """One start of the search: "equal" or the restart index, and where
+    its ascent ended."""
+
+    start: str | int
+    iterations: int
+    stop_reason: str  # "stationary", "no-ascent", "small-gain" or "max-iter"
+    ratio: float
+
+    def to_json_dict(self) -> dict:
+        return {
+            "start": self.start,
+            "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
+            "ratio": self.ratio,
+        }
+
+
+@dataclass(frozen=True)
 class ExtremalResult:
     coefficients: dict
     ratio: float
     p: float
     iterations: int
-    stop_reason: str  # "stationary", "no-ascent", "small-gain" or "max-iter"
+    stop_reason: str  # of the best run
     kind: str
+    runs: tuple  # a RunSummary per start, the all-equal start first
 
     @property
     def converged(self) -> bool:
@@ -100,6 +122,7 @@ class ExtremalResult:
             "stop_reason": self.stop_reason,
             "kind": self.kind,
             "coefficients": coeffs,
+            "runs": [run.to_json_dict() for run in self.runs],
         }
 
 
@@ -141,10 +164,12 @@ def trig_family(seq: LacunarySequence, l: int) -> ChaosFamily:
 
 
 def _make_space(values, dyadic: bool, oversample: int):
+    """The cells of a dyadic support, else the smallest 5-smooth grid at or
+    above oversample * (2 * degree + 1) points."""
     if dyadic:
         return _CellSpace(values)
     degree = max(abs(m) for m in values)
-    return _GridSpace(values, _grid_size(degree, oversample))
+    return _GridSpace(values, _next_smooth(_grid_size(degree, oversample)))
 
 
 def _objective(space, vec: np.ndarray, p: float) -> float:
@@ -274,6 +299,7 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
             iterations=0,
             stop_reason="stationary",
             kind=kind,
+            runs=(RunSummary("equal", 0, "stationary", 1.0),),
         )
         return result, 1.0
     space = _make_space(values, dyadic, config.oversample)
@@ -284,6 +310,10 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
         start = _random_start(space, (config.seed, r))
         state = _power_state(space, start, p)
         runs.append(_ascend(space, start, state, p, config.max_iter))
+    summaries = tuple(
+        RunSummary("equal" if r == 0 else r, iters, reason, float(ratio))
+        for r, (_, ratio, iters, reason) in enumerate(runs)
+    )
     # max keeps the earliest of equal ratios, so ties go to the warm start
     best_vec, best_ratio, best_iters, best_reason = max(runs, key=lambda run: run[1])
     if space.complex_coeffs:
@@ -297,6 +327,7 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
         iterations=best_iters,
         stop_reason=best_reason,
         kind=kind,
+        runs=summaries,
     )
     return result, float(equal_state[1])
 
@@ -311,7 +342,11 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     falls under 1e-10, or ``max_iter`` is reached; ``stop_reason`` says
     which.  Each run keeps its best iterate and the first run starts at
     the all-equal vector, so the returned ratio never falls below that
-    certified warm start.
+    certified warm start.  ``runs`` summarizes every start.
+
+    Trig supports are searched on the smallest 5-smooth grid at or above
+    ``config.oversample * (2 * degree + 1)`` points, a fast FFT size; the
+    quadrature is exact for even p with p * degree below that size.
     """
     if isinstance(index_set, ChaosFamily):
         index_set = index_set.index_set()

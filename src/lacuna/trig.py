@@ -97,12 +97,28 @@ def _grid_size(degree: int, oversample: int) -> int:
     return oversample * (2 * degree + 1)
 
 
+def _next_smooth(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) at or above n >= 1, a size
+    at which the FFT runs several times faster than at a nearby size with
+    a large prime factor."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 class _GridSpace:
     """Trig polynomials on a fixed frequency list, synthesized on the
     N-point grid j/N by an inverse FFT; the forward FFT is the adjoint.
 
     Requires N > 2 * degree so that frequencies do not alias and the
-    grid determines the polynomial.
+    grid determines the polynomial.  Like the cells of ``walsh._CellSpace``,
+    grids are capped at 2^24 points.
     """
 
     complex_coeffs = True
@@ -114,13 +130,15 @@ class _GridSpace:
             raise AliasingError(
                 f"grid of {size} points cannot resolve degree {degree}; need N > 2*degree"
             )
+        if size > 1 << 24:
+            raise ResourceError(f"grid of {size} points exceeds the cap of 2^24")
         self.size = size
-        self._bins = [m % size for m in self.freqs]
+        # distinct, since N > 2 * degree
+        self._bins = np.array([m % size for m in self.freqs], dtype=np.int64)
 
     def values(self, vec) -> np.ndarray:
         spectrum = np.zeros(self.size, dtype=np.complex128)
-        for b, c in zip(self._bins, vec):
-            spectrum[b] += c
+        spectrum[self._bins] = vec
         return np.fft.ifft(spectrum) * self.size
 
     def adjoint_mean(self, weights: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ rationals, XOR is digit-wise, and shift sums are plain integers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -227,8 +228,9 @@ class WalshPolynomial:
     """Finite real combination of Walsh functions, keyed by index value.
 
     Keys are 0 (the constant) or even integers whose binary ones sit at
-    positions >= 1.  Zero coefficients are dropped.  The polynomial is
-    piecewise constant on the 2**max_scale cells of [0, 1).
+    positions >= 1.  Coefficients are ``numbers.Real`` (floats, ints,
+    ``Fraction``s, numpy floats); zero coefficients are dropped.  The
+    polynomial is piecewise constant on the 2**max_scale cells of [0, 1).
     """
 
     coefficients: Mapping[int, float]
@@ -238,6 +240,8 @@ class WalshPolynomial:
         for m, a in coefficients.items():
             if m != 0:
                 _exponents_of(int(m))  # validates the key
+            if not isinstance(a, numbers.Real):
+                raise InvalidInputError(f"Walsh coefficient {a!r} at {m} is not real")
             if a:
                 cleaned[int(m)] = a
         object.__setattr__(self, "coefficients", cleaned)

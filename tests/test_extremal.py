@@ -260,6 +260,47 @@ def test_maximize_keeps_seed_commit_gain_on_trig_family():
     assert result.converged
 
 
+def test_trig_search_grid_is_five_smooth():
+    from lacuna.extremal import _make_space
+
+    values = trig_family(geometric_sequence(2, 11), 1).index_set().values()
+    # 8 * (2 * 2048 + 1) = 32776 = 2^3 * 17 * 241 rounds up to 3^8 * 5
+    assert _make_space(values, False, 8).size == 32805
+
+
+def test_maximize_on_smooth_grid_keeps_exact_quadrature_ratios():
+    # p * degree stays under the grid size at p = 4, 8 and 16, so the
+    # quadrature is exact on the old and the rounded-up grid alike
+    fam = trig_family(geometric_sequence(2, 11), 1)
+    cfg = ExtremalConfig(restarts=2, max_iter=60, seed=1)
+    earlier = {4: 1.175456745021064, 8: 1.5013764516866268, 16: 2.0372411523384604}
+    for p, want in earlier.items():
+        assert maximize_ratio(fam, p, cfg).ratio == pytest.approx(want, rel=1e-10)
+
+
+def test_result_summarizes_every_start():
+    fam = trig_family(geometric_sequence(2, 8), 1)
+    cfg = ExtremalConfig(restarts=3, max_iter=20, seed=4)
+    result = maximize_ratio(fam, 8.0, cfg)
+    assert len(result.runs) == cfg.restarts
+    assert [run.start for run in result.runs] == ["equal", 1, 2]
+    assert max(run.ratio for run in result.runs) == result.ratio
+    best = next(run for run in result.runs if run.ratio == result.ratio)
+    assert (best.iterations, best.stop_reason) == (result.iterations, result.stop_reason)
+    runs = result.to_json_dict()["runs"]
+    assert runs[0] == {
+        "start": "equal",
+        "iterations": result.runs[0].iterations,
+        "stop_reason": result.runs[0].stop_reason,
+        "ratio": result.runs[0].ratio,
+    }
+    assert [r["start"] for r in runs] == ["equal", 1, 2]
+    single = maximize_ratio(trig_family(geometric_sequence(4, 1), 1), 4.0, cfg)
+    assert [run.to_json_dict() for run in single.runs] == [
+        {"start": "equal", "iterations": 0, "stop_reason": "stationary", "ratio": 1.0}
+    ]
+
+
 def test_maximize_ratio_finite_at_large_p():
     fam = walsh_family(2, 10)
     values = fam.index_set().values()
@@ -303,6 +344,15 @@ def test_growth_all_exponents_fail_raises():
     # exponent budget 30 forces cell arrays past the scale cap, so every
     # p fails inside the loop and the fit has nothing to work with
     fam = walsh_family(2, 30)
+    with pytest.raises(InsufficientDataError) as info:
+        growth_exponent(fam, [3, 4, 6, 8], ExtremalConfig(restarts=1, max_iter=5))
+    skipped = tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))
+    assert info.value.skipped == skipped
+
+
+def test_growth_past_the_grid_cap_skips_every_exponent():
+    # degree 3^20 + 3^19 would need a grid of 7.4e10 points
+    fam = trig_family(geometric_sequence(3, 20), 2)
     with pytest.raises(InsufficientDataError) as info:
         growth_exponent(fam, [3, 4, 6, 8], ExtremalConfig(restarts=1, max_iter=5))
     skipped = tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))

@@ -167,6 +167,15 @@ def test_check_walsh_low_order_rejected():
             )
 
 
+def test_experiment_rejects_complex_walsh_coefficient_past_n_max():
+    coeffs = {6: 1.0, 10: 1j}
+    mat = build_summation_matrix("prefix-of-rearrangement", order=[6, 10])
+    with pytest.raises(InvalidInputError):
+        inverse_bound_experiment(
+            coeffs, mat, IntervalSet([(0, 1)]), WalshContext(order=2), n_max=1
+        )
+
+
 def test_check_zero_polynomial_notes():
     report = inverse_parseval_check(
         TrigPolynomial({}), IntervalSet([(0, 1)]), trig_ctx()

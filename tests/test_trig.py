@@ -125,6 +125,48 @@ def test_lp_oversample_stability():
     assert a == pytest.approx(oracle_lp(poly, 3), abs=1e-6)
 
 
+def test_next_smooth_matches_brute_force():
+    from lacuna.trig import _next_smooth
+
+    def smooth(k):
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        return k == 1
+
+    want = None
+    for n in range(10**4, 0, -1):
+        if smooth(n):
+            want = n
+        assert _next_smooth(n) == want, n
+    assert _next_smooth(32776) == 32805
+
+
+def test_grid_cap_raises_before_allocating():
+    import tracemalloc
+
+    values = enumerate_index_set(geometric_sequence(3, 20), 2, "positive").values()
+    poly = TrigPolynomial({m: 1.0 for m in values})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            lp_norm_trig(poly, 3)
+        with pytest.raises(ResourceError):
+            evaluate_grid(poly, 8 * (2 * poly.degree + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # p = 2 needs no grid, so the cap does not apply
+    assert lp_norm_trig(poly, 2) == poly.norm2()
+    # the cap is 2^24 points; the space allocates nothing until it evaluates
+    from lacuna.trig import _GridSpace
+
+    assert _GridSpace([1], 1 << 24).size == 1 << 24
+    with pytest.raises(ResourceError):
+        _GridSpace([1], (1 << 24) + 1)
+
+
 def test_lp_validation():
     poly = TrigPolynomial({4: 1.0})
     with pytest.raises(InvalidInputError):

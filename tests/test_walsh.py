@@ -158,6 +158,14 @@ def test_cell_values_of_constant_and_zero():
     assert WalshPolynomial({}).cell_values().tolist() == [0.0]
 
 
+def test_polynomial_rejects_non_real_coefficients():
+    for bad in (1j, complex(2.0, 0.0), np.complex128(1.0), "1.5", None):
+        with pytest.raises(InvalidInputError):
+            WalshPolynomial({6: bad})
+    poly = WalshPolynomial({6: Fraction(1, 2), 10: np.float64(2.0), 12: 3, 2: 0.0})
+    assert poly.coefficients == {6: Fraction(1, 2), 10: 2.0, 12: 3}
+
+
 def test_polynomial_roundtrip_and_norm():
     poly = synthesize({6: 2.5, 20: -1.25})
     again = WalshPolynomial.from_json_dict(poly.to_json_dict())
