@@ -10,7 +10,7 @@ threshold.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,12 +44,13 @@ SMALL_GAIN = 1e-10
 
 @dataclass(frozen=True)
 class ExtremalConfig:
+    """Search settings.  ``oversample`` sizes the trig search grid: the
+    smallest 5-smooth size at or above oversample * (2 * degree + 1)."""
+
     restarts: int = 3
     max_iter: int = 150
     step: float = 0.5
     seed: int = 0
-    # the trig search grid is the smallest 5-smooth size at or above
-    # oversample * (2 * degree + 1)
     oversample: int = 8
 
     def validate(self) -> None:
@@ -81,12 +82,7 @@ class RunSummary:
     ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

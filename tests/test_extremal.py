@@ -341,22 +341,14 @@ def test_growth_validation():
 
 
 def test_growth_all_exponents_fail_raises():
-    # exponent budget 30 forces cell arrays past the scale cap, so every
+    # exponent budget 30 forces cell arrays past the scale cap, and degree
+    # 3^20 + 3^19 a grid of 7.4e10 points past the 2^24 grid cap, so every
     # p fails inside the loop and the fit has nothing to work with
-    fam = walsh_family(2, 30)
-    with pytest.raises(InsufficientDataError) as info:
-        growth_exponent(fam, [3, 4, 6, 8], ExtremalConfig(restarts=1, max_iter=5))
-    skipped = tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))
-    assert info.value.skipped == skipped
-
-
-def test_growth_past_the_grid_cap_skips_every_exponent():
-    # degree 3^20 + 3^19 would need a grid of 7.4e10 points
-    fam = trig_family(geometric_sequence(3, 20), 2)
-    with pytest.raises(InsufficientDataError) as info:
-        growth_exponent(fam, [3, 4, 6, 8], ExtremalConfig(restarts=1, max_iter=5))
-    skipped = tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))
-    assert info.value.skipped == skipped
+    for fam in (walsh_family(2, 30), trig_family(geometric_sequence(3, 20), 2)):
+        with pytest.raises(InsufficientDataError) as info:
+            growth_exponent(fam, [3, 4, 6, 8], ExtremalConfig(restarts=1, max_iter=5))
+        skipped = tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))
+        assert info.value.skipped == skipped
 
 
 def test_growth_slope_tracks_probe_for_symmetric_family():
