@@ -32,8 +32,8 @@ from .lacunary import (
     dyadic_sequence,
     enumerate_index_set,
 )
-from .trig import _GridSpace, _grid_size, _next_smooth
-from .walsh import _CellSpace
+from .trig import _GridSpace, _grid_size, _next_smooth, _trig_rows
+from .walsh import _CellSpace, _walsh_rows
 
 EPS_REG = 1e-14
 # the tangent part of a gradient this much smaller than the gradient is
@@ -62,13 +62,7 @@ class ExtremalConfig:
             raise InvalidInputError("oversample below 4 risks aliasing")
 
     def to_json_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iter": self.max_iter,
-            "step": self.step,
-            "seed": self.seed,
-            "oversample": self.oversample,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -100,16 +94,7 @@ class ExtremalResult:
         return self.stop_reason != "max-iter"
 
     def to_json_dict(self) -> dict:
-        if self.kind == "walsh":
-            coeffs = [
-                {"value_m": m, "coeff": float(c)}
-                for m, c in sorted(self.coefficients.items())
-            ]
-        else:
-            coeffs = [
-                {"freq": m, "re": float(np.real(c)), "im": float(np.imag(c))}
-                for m, c in sorted(self.coefficients.items())
-            ]
+        rows = _walsh_rows if self.kind == "walsh" else _trig_rows
         return {
             "p": self.p,
             "ratio": self.ratio,
@@ -117,7 +102,7 @@ class ExtremalResult:
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "kind": self.kind,
-            "coefficients": coeffs,
+            "coefficients": rows(self.coefficients),
             "runs": [run.to_json_dict() for run in self.runs],
         }
 
@@ -159,6 +144,14 @@ def trig_family(seq: LacunarySequence, l: int) -> ChaosFamily:
     return ChaosFamily(kind="trig", order=l, sequence=seq)
 
 
+def _index_set(family) -> ChaosIndexSet:
+    if isinstance(family, ChaosFamily):
+        return family.index_set()
+    if isinstance(family, ChaosIndexSet):
+        return family
+    raise InvalidInputError("expected a ChaosFamily or ChaosIndexSet")
+
+
 def _make_space(values, dyadic: bool, oversample: int):
     """The cells of a dyadic support, else the smallest 5-smooth grid at or
     above oversample * (2 * degree + 1) points."""
@@ -195,12 +188,14 @@ def ratio_gradient(
     if all(c == 0 for c in coeffs.values()) or not coeffs:
         raise UndefinedGradientError("gradient is undefined at the zero vector")
     space = _make_space(values, index_set.is_dyadic, grid_oversample)
-    if space.complex_coeffs:
-        vec = np.array([complex(coeffs.get(m, 0.0)) for m in values])
-    else:
-        vec = np.array([float(coeffs.get(m, 0.0)) for m in values])
+    vec = np.array([space.dtype(coeffs.get(m, 0.0)) for m in values])
     _, _, grad, scale = _power_state(space, vec, p)
-    grad *= p * scale ** (p - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad *= p * np.float64(scale) ** (p - 1)
+    if not np.isfinite(grad).all():
+        raise ResourceError(
+            f"gradient at p={p:g} is not finite: p * M^(p-1) with M = {scale:.6g}"
+        )
     return {m: g for m, g in zip(values, grad)}
 
 
@@ -258,20 +253,12 @@ def _ascend(space, vec: np.ndarray, state, p: float, max_iter: int):
     return best_vec, best_ratio, max_iter, "max-iter"
 
 
-def _equal_start(space) -> np.ndarray:
-    n = len(space.freqs)
-    if space.complex_coeffs:
-        return np.full(n, 1.0 / n**0.5, dtype=complex)
-    return np.full(n, 1.0 / n**0.5, dtype=float)
-
-
 def _random_start(space, seed_pair) -> np.ndarray:
     rng = np.random.default_rng(seed_pair)
     n = len(space.freqs)
-    if space.complex_coeffs:
-        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        vec = rng.standard_normal(n)
+    vec = rng.standard_normal(n).astype(space.dtype)
+    if space.dtype is complex:
+        vec += 1j * rng.standard_normal(n)
     return vec / np.linalg.norm(vec)
 
 
@@ -299,7 +286,8 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
         )
         return result, 1.0
     space = _make_space(values, dyadic, config.oversample)
-    equal = _equal_start(space)
+    n = len(values)
+    equal = np.full(n, 1.0 / n**0.5, dtype=space.dtype)
     equal_state = _power_state(space, equal, p)
     runs = [_ascend(space, equal, equal_state, p, config.max_iter)]
     for r in range(1, config.restarts):
@@ -312,12 +300,8 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
     )
     # max keeps the earliest of equal ratios, so ties go to the warm start
     best_vec, best_ratio, best_iters, best_reason = max(runs, key=lambda run: run[1])
-    if space.complex_coeffs:
-        coefficients = {m: complex(c) for m, c in zip(values, best_vec)}
-    else:
-        coefficients = {m: float(c) for m, c in zip(values, best_vec)}
     result = ExtremalResult(
-        coefficients=coefficients,
+        coefficients={m: c.item() for m, c in zip(values, best_vec)},
         ratio=float(best_ratio),
         p=float(p),
         iterations=best_iters,
@@ -342,12 +326,12 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
 
     Trig supports are searched on the smallest 5-smooth grid at or above
     ``config.oversample * (2 * degree + 1)`` points, a fast FFT size; the
-    quadrature is exact for even p with p * degree below that size.
+    quadrature is exact for even p with p * degree below that size.  For
+    any other p a trig ratio carries a quadrature error that the result
+    does not report (about 4e-8 relative at p = 3 on the first-order
+    family of ``geometric_sequence(2, 8)``).
     """
-    if isinstance(index_set, ChaosFamily):
-        index_set = index_set.index_set()
-    if not isinstance(index_set, ChaosIndexSet):
-        raise InvalidInputError("expected a ChaosIndexSet or ChaosFamily")
+    index_set = _index_set(index_set)
     config = config or ExtremalConfig()
     result, _ = _maximize_over_values(
         index_set.values(), index_set.is_dyadic, p, config
@@ -409,12 +393,7 @@ def growth_exponent(
         raise InvalidInputError("all exponents must exceed 2")
     config = config or ExtremalConfig()
     config.validate()
-    if isinstance(family, ChaosFamily):
-        index_set = family.index_set()
-    elif isinstance(family, ChaosIndexSet):
-        index_set = family
-    else:
-        raise InvalidInputError("expected a ChaosFamily or ChaosIndexSet")
+    index_set = _index_set(family)
     values = index_set.values()
     if not values:
         raise InvalidInputError("empty index set")
@@ -477,11 +456,7 @@ class BlowupRow:
     ratio_control: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "ratio_critical": self.ratio_critical,
-            "ratio_control": self.ratio_control,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

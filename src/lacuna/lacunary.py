@@ -11,6 +11,7 @@ exact: ratios are handled with `fractions.Fraction`, never floats.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -353,6 +354,33 @@ def _top_sums(terms):
     return top_sum
 
 
+def _signed_walk(terms, target: int, slots: int, pos: int, neg: int):
+    """Every choice of at most ``slots`` distinct positions, at most ``pos``
+    of them signed + and ``neg`` signed -, whose signed sum of ``terms``
+    is ``target``, as a tuple of (position, sign) pairs with decreasing
+    positions; the empty choice is yielded when target is 0."""
+    top_sum = _top_sums(terms)
+
+    def walk(i, slots, pos, neg, target, chosen):
+        if target == 0:
+            yield chosen
+        if slots == 0 or i < 0:
+            return
+        if target > top_sum(i, min(slots, pos)) or -target > top_sum(i, min(slots, neg)):
+            return
+        for j in range(i, -1, -1):
+            if pos:
+                yield from walk(
+                    j - 1, slots - 1, pos - 1, neg, target - terms[j], chosen + ((j, 1),)
+                )
+            if neg:
+                yield from walk(
+                    j - 1, slots - 1, pos, neg - 1, target + terms[j], chosen + ((j, -1),)
+                )
+
+    return walk(len(terms) - 1, slots, pos, neg, target, ())
+
+
 def representations(
     seq: LacunarySequence, m: int, l: int, variant: str = "signed"
 ) -> list[SignedRepresentation]:
@@ -369,27 +397,11 @@ def representations(
     if base == "dyadic":
         _require_dyadic_ladder(seq)
     terms = seq.terms
-    n = len(terms)
-    top_sum = _top_sums(terms)
-    sign_choices = (1, -1) if base == "signed" else (1,)
-    found: list[SignedRepresentation] = []
-
-    def walk(i: int, slots: int, target: int, chosen: list[tuple[int, int]]):
-        if target == 0 and chosen:
-            idx = tuple(c[0] for c in chosen)
-            sg = tuple(c[1] for c in chosen)
-            found.append(SignedRepresentation.build(terms, idx, sg))
-        if slots == 0 or i < 0:
-            return
-        if abs(target) > top_sum(i, slots):
-            return
-        for j in range(i, -1, -1):
-            for sign in sign_choices:
-                chosen.append((j, sign))
-                walk(j - 1, slots - 1, target - sign * terms[j], chosen)
-                chosen.pop()
-
-    walk(n - 1, l, m, [])
+    found = [
+        SignedRepresentation.build(terms, *zip(*chosen))
+        for chosen in _signed_walk(terms, m, l, l, l if base == "signed" else 0)
+        if chosen
+    ]
     return sorted(found, key=_REP_SORT_KEY)
 
 
@@ -420,24 +432,7 @@ def mixed_representation_count(seq: LacunarySequence, m: int, l: int) -> int:
             "mixed representation counts may grow with the prefix" % (l + 1),
             stacklevel=2,
         )
-    terms = seq.terms
-    n = len(terms)
-    top_sum = _top_sums(terms)
-
-    def walk(i: int, pos_left: int, neg_left: int, target: int) -> int:
-        count = 1 if target == 0 else 0
-        if i < 0:
-            return count
-        if target > top_sum(i, pos_left) or target < -top_sum(i, neg_left):
-            return count
-        for j in range(i, -1, -1):
-            if pos_left:
-                count += walk(j - 1, pos_left - 1, neg_left, target - terms[j])
-            if neg_left:
-                count += walk(j - 1, pos_left, neg_left - 1, target + terms[j])
-        return count
-
-    return walk(n - 1, l, l, m)
+    return sum(1 for _ in _signed_walk(seq.terms, m, 2 * l, l, l))
 
 
 def mixed_count_table(seq: LacunarySequence, l: int) -> dict[int, int]:
@@ -449,7 +444,7 @@ def mixed_count_table(seq: LacunarySequence, l: int) -> dict[int, int]:
     for s in range(l + 1):
         for t in range(l + 1):
             if s + t <= n:
-                states += _choose(n, s) * _choose(n - s, t)
+                states += math.comb(n, s) * math.comb(n - s, t)
     if states > 5_000_000:
         raise ResourceError(
             f"mixed enumeration needs {states} sign patterns; shrink the prefix"
@@ -464,15 +459,6 @@ def mixed_count_table(seq: LacunarySequence, l: int) -> dict[int, int]:
                     v = base_val - sum(seq.terms[i] for i in neg)
                     table[v] = table.get(v, 0) + 1
     return table
-
-
-def _choose(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def empirical_mixed_bound(seq: LacunarySequence, l: int) -> int:
@@ -513,9 +499,7 @@ class HeadPartitionReport:
         }
 
 
-def head_partition(
-    index_set: ChaosIndexSet, seq: LacunarySequence | None = None
-) -> HeadPartitionReport:
+def head_partition(index_set: ChaosIndexSet) -> HeadPartitionReport:
     """Group every value of an index set by its signed leading term.
 
     Values are assigned to the block of their canonical (first, in the
@@ -528,8 +512,7 @@ def head_partition(
     exceed the critical ratio for the set's order (the lower bound
     ``a`` would not be positive).
     """
-    if seq is None:
-        seq = index_set.sequence
+    seq = index_set.sequence
     l = index_set.order
     a, b = _head_bounds(seq.lam, l)
     if l >= 2 and a <= 0:

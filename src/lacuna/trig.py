@@ -59,15 +59,8 @@ class TrigPolynomial:
     def __len__(self) -> int:
         return len(self.coefficients)
 
-    def scaled(self, factor) -> "TrigPolynomial":
-        return TrigPolynomial({m: c * factor for m, c in self.coefficients.items()})
-
     def to_json_dict(self) -> dict:
-        out = []
-        for m in sorted(self.coefficients):
-            c = complex(self.coefficients[m])
-            out.append({"freq": m, "re": c.real, "im": c.imag})
-        return {"coefficients": out}
+        return {"coefficients": _trig_rows(self.coefficients)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrigPolynomial":
@@ -77,6 +70,15 @@ class TrigPolynomial:
                 for c in data["coefficients"]
             }
         )
+
+
+def _trig_rows(coefficients: Mapping[int, complex]) -> list[dict]:
+    """JSON rows {"freq", "re", "im"} in frequency order, zeros included."""
+    rows = []
+    for m in sorted(coefficients):
+        c = complex(coefficients[m])
+        rows.append({"freq": m, "re": c.real, "im": c.imag})
+    return rows
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class _GridSpace:
     grids are capped at 2^24 points.
     """
 
-    complex_coeffs = True
+    dtype = complex
 
     def __init__(self, freqs: Sequence[int], size: int):
         self.freqs = list(freqs)
@@ -178,11 +180,13 @@ def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
 
 
 def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
-    """Exact L^p norm of a Walsh polynomial via its cell values."""
+    """Exact L^p norm of a Walsh polynomial via its cell values; p == 2 is Parseval."""
     if p < 1:
         raise InvalidInputError("p must be >= 1")
     if not S.coefficients:
         return 0.0
+    if p == 2:
+        return S.norm2()
     return _scaled_lp_mean(S.cell_values(), p)
 
 
@@ -218,6 +222,19 @@ def _check_three_lacunary(freqs: Sequence[int]) -> bool:
     )
 
 
+def _expand_product(freqs: Sequence[int], weights: Sequence, keep: bool) -> TrigPolynomial:
+    """Exact expansion of prod_j (keep + 2 w_j cos(2 pi n_j x)), with the
+    bool ``keep`` as the constant term 1 or 0 of every factor."""
+    coeffs: dict[int, Fraction] = {0: Fraction(1)}
+    for n, w in zip(freqs, weights):
+        nxt = dict(coeffs) if keep else {}
+        for m, c in coeffs.items():
+            for mm in (m + n, m - n):
+                nxt[mm] = nxt.get(mm, Fraction(0)) + c * w
+        coeffs = nxt
+    return TrigPolynomial(coeffs)
+
+
 def cos_product_expand(freqs: Sequence[int]) -> TrigPolynomial:
     """Exact exponential-basis expansion of prod_j cos(2 pi n_j x).
 
@@ -232,15 +249,7 @@ def cos_product_expand(freqs: Sequence[int]) -> TrigPolynomial:
         raise InvalidInputError("frequencies must be positive integers")
     if len(set(freqs)) != len(freqs):
         raise InvalidInputError("frequencies must be distinct")
-    half = Fraction(1, 2)
-    coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    for n in freqs:
-        nxt: dict[int, Fraction] = {}
-        for m, c in coeffs.items():
-            for mm in (m + n, m - n):
-                nxt[mm] = nxt.get(mm, Fraction(0)) + c * half
-        coeffs = nxt
-    return TrigPolynomial(coeffs)
+    return _expand_product(freqs, [Fraction(1, 2)] * len(freqs), keep=False)
 
 
 def riesz_product(freqs: Sequence[int], signs: Sequence[int]) -> TrigPolynomial:
@@ -266,15 +275,7 @@ def riesz_product(freqs: Sequence[int], signs: Sequence[int]) -> TrigPolynomial:
         )
     if not _check_three_lacunary(freqs):
         raise InvalidInputError("Riesz product requires a 3-lacunary frequency list")
-    half = Fraction(1, 2)
-    coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    for n, eps in zip(freqs, signs):
-        nxt = dict(coeffs)
-        for m, c in coeffs.items():
-            for mm in (m + n, m - n):
-                nxt[mm] = nxt.get(mm, Fraction(0)) + c * eps * half
-        coeffs = nxt
-    return TrigPolynomial(coeffs)
+    return _expand_product(freqs, [Fraction(1, 2) * eps for eps in signs], keep=True)
 
 
 def modulation_projection(m: int, freqs: Sequence[int]) -> Fraction:

@@ -195,7 +195,7 @@ class _CellSpace:
     ``scale`` defaults to the finest digit of the index list.
     """
 
-    complex_coeffs = False
+    dtype = float
 
     def __init__(self, values_m: Sequence[int], scale: int | None = None):
         self.freqs = list(values_m)
@@ -274,16 +274,16 @@ class WalshPolynomial:
         return float(np.sqrt(self.mass))
 
     def to_json_dict(self) -> dict:
-        return {
-            "coefficients": [
-                {"value_m": m, "coeff": self.coefficients[m]}
-                for m in sorted(self.coefficients)
-            ]
-        }
+        return {"coefficients": _walsh_rows(self.coefficients)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WalshPolynomial":
         return cls({int(c["value_m"]): float(c["coeff"]) for c in data["coefficients"]})
+
+
+def _walsh_rows(coefficients: Mapping[int, float]) -> list[dict]:
+    """JSON rows {"value_m", "coeff"} in index order, zeros included."""
+    return [{"value_m": m, "coeff": float(coefficients[m])} for m in sorted(coefficients)]
 
 
 def synthesize(coefficients: Mapping[int, float]) -> WalshPolynomial:

@@ -14,10 +14,12 @@ import pytest
 
 from lacuna import (
     ExtremalConfig,
+    ExtremalResult,
     InsufficientDataError,
     InvalidInputError,
     InvalidOrderError,
     InvalidSupportError,
+    ResourceError,
     TrigPolynomial,
     UndefinedGradientError,
     WalshPolynomial,
@@ -32,6 +34,7 @@ from lacuna import (
     trig_family,
     walsh_family,
 )
+from lacuna.extremal import RunSummary
 
 EPS_REG = 1e-14
 
@@ -44,7 +47,7 @@ def numeric_gradient(coeffs, index_set, p, h=1e-6):
     space = _make_space(values, index_set.is_dyadic, 8)
 
     def pack(cmap):
-        if space.complex_coeffs:
+        if space.dtype is complex:
             return np.array([complex(cmap.get(m, 0.0)) for m in values])
         return np.array([float(cmap.get(m, 0.0)) for m in values])
 
@@ -57,7 +60,7 @@ def numeric_gradient(coeffs, index_set, p, h=1e-6):
         bumped[i] = base[i] - h
         down = _objective(space, bumped, p)
         g = (up - down) / (2 * h)
-        if space.complex_coeffs:
+        if space.dtype is complex:
             bumped = base.copy()
             bumped[i] = base[i] + 1j * h
             up_i = _objective(space, bumped, p)
@@ -145,6 +148,15 @@ def test_gradient_validation():
         ratio_gradient({6: 1.0}, iset, 2.0)
 
 
+def test_gradient_past_the_float_range_raises_resource_error():
+    # all ones on six pair indices: M = 6, and 6^399 overflows a float
+    iset = walsh_family(2, 4).index_set()
+    ones = {m: 1.0 for m in iset.values()}
+    assert all(np.isfinite(g) for g in ratio_gradient(ones, iset, 300.0).values())
+    with pytest.raises(ResourceError):
+        ratio_gradient(ones, iset, 400.0)
+
+
 def test_gradient_rejects_coarse_grids():
     iset = enumerate_index_set(geometric_sequence(4, 3), 1, "positive")
     for oversample in (0, 2):
@@ -200,7 +212,7 @@ def test_maximize_empty_support_rejected():
     class Hollow:
         pass
 
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="expected a ChaosFamily or ChaosIndexSet"):
         maximize_ratio(Hollow(), 4.0)
 
 
@@ -298,6 +310,20 @@ def test_result_summarizes_every_start():
     single = maximize_ratio(trig_family(geometric_sequence(4, 1), 1), 4.0, cfg)
     assert [run.to_json_dict() for run in single.runs] == [
         {"start": "equal", "iterations": 0, "stop_reason": "stationary", "ratio": 1.0}
+    ]
+
+
+def test_result_json_keeps_zero_coefficients():
+    run = (RunSummary("equal", 0, "stationary", 1.0),)
+    walsh = ExtremalResult({10: 1.0, 6: 0.0}, 1.0, 4.0, 0, "stationary", "walsh", run)
+    assert walsh.to_json_dict()["coefficients"] == [
+        {"value_m": 6, "coeff": 0.0},
+        {"value_m": 10, "coeff": 1.0},
+    ]
+    trig = ExtremalResult({4: 1 + 2j, 2: 0j}, 1.0, 4.0, 0, "stationary", "trig", run)
+    assert trig.to_json_dict()["coefficients"] == [
+        {"freq": 2, "re": 0.0, "im": 0.0},
+        {"freq": 4, "re": 1.0, "im": 2.0},
     ]
 
 

@@ -226,6 +226,21 @@ def test_representations_exhaustive_window_uniqueness():
         assert representations(seq, 0, l) == []
 
 
+def test_representations_match_star_enumeration_for_every_variant():
+    # ratio 2 is not 3-lacunary, so many values have several representations
+    cases = (
+        (geometric_sequence(2, 6, lam=Fraction(3, 2)), ("signed", "positive")),
+        (dyadic_sequence(6), ("dyadic",)),
+    )
+    for seq, variants in cases:
+        for l in (1, 2, 3):
+            for variant in variants:
+                star = enumerate_index_set(seq, l, variant + "-star")
+                for m in range(-130, 131):
+                    want = list(star.entries.get(m, ()))
+                    assert representations(seq, m, l, variant) == want, (variant, l, m)
+
+
 def test_positive_star_unique_above_next_critical():
     # positive-sum uniqueness needs lambda > lambda_{l+1}; ratio 4
     # clears the order-3 constant

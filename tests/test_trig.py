@@ -108,6 +108,13 @@ def test_lp_two_is_exact_parseval():
     poly = TrigPolynomial({4: 1.5, -16: 2j, 64: 0.25})
     want = math.sqrt(1.5**2 + 4 + 0.25**2)
     assert lp_norm_trig(poly, 2) == want
+    # Walsh too: no cells, so no rounding in the ratio and no scale cap
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        walsh = WalshPolynomial({m: rng.standard_normal() for m in (6, 10, 12, 18, 20, 24)})
+        assert lp_norm_walsh(walsh, 2) == walsh.norm2()
+        assert khintchine_ratio(walsh, 2) == 1.0
+    assert lp_norm_walsh(WalshPolynomial({2**30: 1.5}), 2) == 1.5
 
 
 def test_lp_monotone_in_p():

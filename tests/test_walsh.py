@@ -6,6 +6,7 @@ checked against an implementation that shares no code with it.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,19 @@ def test_polynomial_roundtrip_and_norm():
     again = WalshPolynomial.from_json_dict(poly.to_json_dict())
     assert again.coefficients == poly.coefficients
     assert poly.norm2() == pytest.approx((2.5**2 + 1.25**2) ** 0.5, abs=1e-12)
+
+
+def test_polynomial_json_dumps_any_real_coefficient():
+    poly = WalshPolynomial({6: Fraction(1, 2), 10: 3, 12: np.float64(-0.25)})
+    data = json.loads(json.dumps(poly.to_json_dict()))
+    assert data == {
+        "coefficients": [
+            {"value_m": 6, "coeff": 0.5},
+            {"value_m": 10, "coeff": 3.0},
+            {"value_m": 12, "coeff": -0.25},
+        ]
+    }
+    assert WalshPolynomial.from_json_dict(data).coefficients == poly.coefficients
 
 
 # --- signed shift sums ----------------------------------------------------
