@@ -114,7 +114,10 @@ def _parse_float_list(text: str) -> list:
 
 def _load_json_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _load_poly(path: str, kind: str):
@@ -239,10 +242,10 @@ _FAMILY = (
     *_SEQUENCE,
 )
 _SEARCH = (
-    _flag("--restarts", type=int, default=3),
-    _flag("--max-iter", type=int, default=150),
-    _flag("--seed", type=int, default=0),
-    _flag("--oversample", type=int, default=8),
+    _flag("--restarts", type=int, default=ExtremalConfig.restarts),
+    _flag("--max-iter", type=int, default=ExtremalConfig.max_iter),
+    _flag("--seed", type=int, default=ExtremalConfig.seed),
+    _flag("--oversample", type=int, default=ExtremalConfig.oversample),
 )
 
 
@@ -281,9 +284,9 @@ def _extremal_config(args) -> ExtremalConfig:
     )
 
 
-@_command("lambda", _L, _flag("--tol", type=float, default=1e-10), scalar=True)
+@_command("lambda", _L, scalar=True)
 def _run_lambda(args):
-    return critical_lambda(args.l, tol=args.tol)
+    return critical_lambda(args.l)
 
 
 @_command(
@@ -299,13 +302,10 @@ def _run_validate(args):
     return {"ok": report["ok"], "first_violation": violation}
 
 
-@_command(
-    "enumerate", *_SEQUENCE, _L, _VARIANT, _flag("--prefix-len", type=int, default=None)
-)
+@_command("enumerate", *_SEQUENCE, _L, _VARIANT)
 def _run_enumerate(args):
     seq = _sequence_from_args(args)
-    iset = enumerate_index_set(seq, args.l, args.variant, prefix_len=args.prefix_len)
-    return iset.to_json_dict()
+    return enumerate_index_set(seq, args.l, args.variant).to_json_dict()
 
 
 @_command("reps", *_SEQUENCE, _M, _L, _VARIANT)
@@ -425,26 +425,18 @@ def _run_inverse_check(args):
 
 
 def _matrix_from_args(args, coeffs):
-    if args.matrix_kind == "prefix-of-rearrangement":
-        if args.order is not None:
-            order = _parse_int_list(args.order)
-        else:
-            order = sorted(coeffs)
-        return build_summation_matrix(
-            "prefix-of-rearrangement", order=order, bound=args.bound
-        )
-    if args.matrix_file is None:
-        raise InvalidInputError(f"{args.matrix_kind} needs --matrix-file")
-    data = _load_json_file(args.matrix_file)
-    if args.matrix_kind == "nested-sets":
-        return build_summation_matrix(
-            "nested-sets", sets=data.get("sets"), bound=args.bound
-        )
-    rows = [
-        {int(m): float(t) for m, t in row.items()} for row in data.get("rows", [])
-    ]
+    order = sorted(coeffs) if args.order is None else _parse_int_list(args.order)
+    data = {}
+    if args.matrix_kind != "prefix-of-rearrangement":
+        if args.matrix_file is None:
+            raise InvalidInputError(f"{args.matrix_kind} needs --matrix-file")
+        data = _load_json_file(args.matrix_file)
     return build_summation_matrix(
-        "custom", rows=rows, bound=float(data.get("bound", args.bound))
+        args.matrix_kind,
+        order=order,
+        sets=data.get("sets"),
+        rows=data.get("rows"),
+        bound=data.get("bound", args.bound),
     )
 
 

@@ -196,6 +196,10 @@ def ratio_gradient(
         raise ResourceError(
             f"gradient at p={p:g} is not finite: p * M^(p-1) with M = {scale:.6g}"
         )
+    if not grad.any():
+        raise ResourceError(
+            f"gradient at p={p:g} underflows to zero: p * M^(p-1) with M = {scale:.6g}"
+        )
     return {m: g for m, g in zip(values, grad)}
 
 
@@ -455,9 +459,6 @@ class BlowupRow:
     ratio_critical: float
     ratio_control: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BlowupReport:
@@ -469,14 +470,7 @@ class BlowupReport:
     degraded: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "p": self.p,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "critical_nondecreasing": self.critical_nondecreasing,
-            "control_spread": self.control_spread,
-            "degraded": self.degraded,
-        }
+        return asdict(self)
 
 
 def _budget_values(seq: LacunarySequence, l: int, max_budget: int) -> list:

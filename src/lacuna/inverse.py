@@ -172,27 +172,14 @@ class SummationMatrix:
     """Row-finite summation matrix with a uniform entry bound.
 
     Rows are finite maps m -> t_{n,m}.  The indicator kind marks
-    membership in a growing family of sets; the column-limit condition
-    (entries tending to 1 down each column) can only be inspected on
-    the declared prefix, so it is reported, never enforced.
+    membership in a growing family of sets.  The column-limit condition
+    (entries tending to 1 down each column) is a limit statement that
+    finitely many rows cannot certify, so it is not checked.
     """
 
     rows: tuple
     bound: float
     kind: str
-
-    def universe(self) -> list[int]:
-        cols: set[int] = set()
-        for row in self.rows:
-            cols.update(row)
-        return sorted(cols)
-
-    def column_report(self) -> dict[int, float]:
-        """Final-row value per column; near 1 suggests condition 3) holds."""
-        if not self.rows:
-            return {}
-        last = self.rows[-1]
-        return {m: float(last.get(m, 0.0)) for m in self.universe()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,60 +201,65 @@ def build_summation_matrix(
     """Construct and validate a summation matrix.
 
     kinds:
-      - "prefix-of-rearrangement": indicator rows of the first n
-        elements of ``order`` (a duplicate-free listing);
+      - "prefix-of-rearrangement": indicator rows of the nested family
+        order[:1], order[:2], ... of a duplicate-free listing ``order``;
       - "nested-sets": indicator rows of an increasing family ``sets``;
-      - "custom": explicit ``rows``, each a finite map with entries
-        bounded by ``bound`` in absolute value.
+      - "custom": explicit ``rows``.
+    Every row of every kind must be a finite map whose entries are
+    finite and bounded by ``bound`` in absolute value.
     """
+    try:
+        bound = float(bound)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bound {bound!r} is not a number") from exc
     if bound <= 0 or not math.isfinite(bound):
         raise InvalidInputError("bound must be positive and finite")
-    built: list[dict[int, float]] = []
     if kind == "prefix-of-rearrangement":
         if order is None:
             raise InvalidInputError("prefix kind needs an order listing")
         order = list(order)
         if len(set(order)) != len(order):
             raise InvalidInputError("order listing must be duplicate-free")
-        if bound < 1:
-            raise BoundViolationError("indicator entries are 1 > bound")
-        for n in range(1, len(order) + 1):
-            built.append({int(m): 1.0 for m in order[:n]})
+        sets = [order[:n] for n in range(1, len(order) + 1)]
     elif kind == "nested-sets":
         if sets is None:
             raise InvalidInputError("nested kind needs the set family")
-        family = [sorted(set(int(m) for m in s)) for s in sets]
-        for i in range(len(family) - 1):
-            if not set(family[i]) <= set(family[i + 1]):
+        try:
+            sets = [sorted(set(int(m) for m in s)) for s in sets]
+        except TypeError as exc:
+            raise InvalidInputError("nested kind needs lists of integers") from exc
+    elif kind != "custom":
+        raise InvalidInputError(f"unknown matrix kind {kind!r}")
+    if kind != "custom":
+        for i in range(len(sets) - 1):
+            if not set(sets[i]) <= set(sets[i + 1]):
                 raise InvalidInputError(
                     f"set {i} is not contained in set {i + 1}; family must grow"
                 )
-        if bound < 1:
-            raise BoundViolationError("indicator entries are 1 > bound")
-        for s in family:
-            built.append({m: 1.0 for m in s})
-    elif kind == "custom":
-        if rows is None:
-            raise InvalidInputError("custom kind needs explicit rows")
-        for i, row in enumerate(rows):
-            if not isinstance(row, Mapping):
-                raise InvalidRowError(f"row {i} is not a finite map")
-            cleaned = {}
-            for m, t in row.items():
+        rows = [dict.fromkeys(s, 1.0) for s in sets]
+    elif rows is None:
+        raise InvalidInputError("custom kind needs explicit rows")
+    built: list[dict[int, float]] = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, Mapping):
+            raise InvalidRowError(f"row {i} is not a finite map")
+        cleaned = {}
+        for m, t in row.items():
+            try:
                 t = float(t)
-                if not math.isfinite(t):
-                    raise InvalidRowError(f"row {i} has a non-finite entry at {m}")
-                if abs(t) > bound:
-                    raise BoundViolationError(
-                        f"row {i} entry {t} at column {m} exceeds bound {bound}"
-                    )
-                if t != 0.0:
-                    cleaned[int(m)] = t
-            built.append(cleaned)
-    else:
-        raise InvalidInputError(f"unknown matrix kind {kind!r}")
+            except TypeError as exc:
+                raise InvalidRowError(f"row {i} has a non-numeric entry at {m}") from exc
+            if not math.isfinite(t):
+                raise InvalidRowError(f"row {i} has a non-finite entry at {m}")
+            if abs(t) > bound:
+                raise BoundViolationError(
+                    f"row {i} entry {t} at column {m} exceeds bound {bound}"
+                )
+            if t != 0.0:
+                cleaned[int(m)] = t
+        built.append(cleaned)
     matrix_kind = "indicator" if kind != "custom" else "custom"
-    return SummationMatrix(rows=tuple(built), bound=float(bound), kind=matrix_kind)
+    return SummationMatrix(rows=tuple(built), bound=bound, kind=matrix_kind)
 
 
 @dataclass(frozen=True)

@@ -52,31 +52,16 @@ def _critical_sign(l: int, num: int, bits: int) -> int:
     return num ** (l - 1) * (num - (2 << bits)) + (1 << (bits * l))
 
 
-def critical_lambda(l: int, tol: float = 1e-10) -> float:
-    """Critical lacunarity ratio for order ``l`` signed sums.
+def critical_lambda(l: int) -> float:
+    """Critical lacunarity ratio for order ``l >= 2`` signed sums.
 
     The value is the unique root in (1, 2] of
-    ``x**(l-1) == x**(l-2) + ... + x + 1``.
-
-    Parameters
-    ----------
-    l : int
-        Sum order, at least 2.  For ``l == 2`` the equation degenerates
-        to ``x == 1`` and exactly 1.0 is returned.
-    tol : float
-        Must be positive; only rejects nonsense inputs, since the result
-        is always the correctly rounded double.
-
-    Returns
-    -------
-    float
-        The double that both ends of a ``critical_lambda_bracket`` round
-        to; the bracket starts at 64 bits and doubles until they agree.
+    ``x**(l-1) == x**(l-2) + ... + x + 1`` (exactly 1.0 for ``l == 2``),
+    returned as the double that both ends of a ``critical_lambda_bracket``
+    round to; the bracket starts at 64 bits and doubles until they agree.
     """
     if not isinstance(l, int) or l < 2:
         raise InvalidOrderError("order must be >= 2")
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
     bits = 64
     while True:
         lo, hi = critical_lambda_bracket(l, bits)
@@ -290,9 +275,9 @@ def enumerate_index_set(
     seq: LacunarySequence,
     l: int,
     variant: str = "signed",
-    prefix_len: int | None = None,
 ) -> ChaosIndexSet:
-    """Exhaustively enumerate every value reachable from a sequence prefix.
+    """Exhaustively enumerate every value reachable from a sequence; pass
+    ``seq.prefix(n)`` to use only its first n terms.
 
     Parameters
     ----------
@@ -303,9 +288,6 @@ def enumerate_index_set(
         One of ``signed``, ``positive``, ``dyadic`` or their ``-star``
         forms.  Dyadic variants additionally require ``seq`` to be the
         ladder 2, 4, ..., 2^n.
-    prefix_len : int, optional
-        How many leading terms participate; defaults to the whole
-        sequence.
 
     Returns
     -------
@@ -315,23 +297,18 @@ def enumerate_index_set(
     base, star = _normalize_variant(variant)
     if not isinstance(l, int) or l < 1:
         raise InvalidOrderError("order must be >= 1")
-    if prefix_len is None:
-        prefix_len = len(seq.terms)
-    if prefix_len > len(seq.terms) or prefix_len < 1:
-        raise InvalidInputError("prefix_len must be in 1..len(seq)")
-    if l > prefix_len:
+    terms = seq.terms
+    if l > len(terms):
         raise InsufficientTermsError(
-            f"order {l} exceeds available prefix of {prefix_len} terms"
+            f"order {l} exceeds available prefix of {len(terms)} terms"
         )
     if base == "dyadic":
         _require_dyadic_ladder(seq)
-    prefix = seq.prefix(prefix_len)
-    terms = prefix.terms
     sign_choices = (1, -1) if base == "signed" else (1,)
     orders = range(1, l + 1) if star else (l,)
     collected: dict[int, list[SignedRepresentation]] = {}
     for s in orders:
-        for combo in itertools.combinations(range(prefix_len), s):
+        for combo in itertools.combinations(range(len(terms)), s):
             indices = combo[::-1]
             for signs in itertools.product(sign_choices, repeat=s):
                 rep = SignedRepresentation.build(terms, indices, signs)
@@ -339,7 +316,7 @@ def enumerate_index_set(
     entries = {
         v: tuple(sorted(reps, key=_REP_SORT_KEY)) for v, reps in collected.items()
     }
-    return ChaosIndexSet(variant=variant, order=l, sequence=prefix, entries=entries)
+    return ChaosIndexSet(variant=variant, order=l, sequence=seq, entries=entries)
 
 
 def _top_sums(terms):

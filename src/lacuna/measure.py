@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceError
 from .lacunary import _as_fraction
+from .trig import TrigPolynomial
+from .walsh import WalshPolynomial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -213,10 +215,6 @@ def energy_on_set(S, E: IntervalSet) -> float:
     whole cells of each interval summed pairwise (relative error of
     order log2(cells) ulps, since every term is nonnegative).
     """
-    # imported here to avoid a module cycle with trig/walsh plumbing
-    from .trig import TrigPolynomial
-    from .walsh import WalshPolynomial
-
     if isinstance(S, TrigPolynomial):
         return _trig_energy(S.coefficients, E)
     if isinstance(S, WalshPolynomial):

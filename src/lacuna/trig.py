@@ -23,7 +23,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .lacunary import ChaosIndexSet
-from .walsh import DyadicPoint, WalshPolynomial, rademacher
+from .walsh import DyadicPoint, WalshPolynomial, _sign
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,14 @@ class TrigPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrigPolynomial":
-        return cls(
-            {
+        try:
+            coeffs = {
                 int(c["freq"]): complex(float(c["re"]), float(c.get("im", 0.0)))
                 for c in data["coefficients"]
             }
-        )
+        except (KeyError, TypeError) as exc:
+            raise InvalidInputError(f"malformed trig polynomial: {exc!r}") from exc
+        return cls(coeffs)
 
 
 def _trig_rows(coefficients: Mapping[int, complex]) -> list[dict]:
@@ -263,8 +265,8 @@ def riesz_product(freqs: Sequence[int], signs: Sequence[int]) -> TrigPolynomial:
     signs = list(signs)
     if len(freqs) != len(signs):
         raise InvalidInputError("freqs and signs must have equal length")
-    if any(s not in (-1, 1) for s in signs):
-        raise InvalidInputError("signs must be +1 or -1")
+    if any(type(s) is not int or s not in (-1, 1) for s in signs):
+        raise InvalidInputError("signs must be the integers +1 or -1")
     if any(not isinstance(n, int) or n <= 0 for n in freqs):
         raise InvalidInputError("frequencies must be positive integers")
     if len(freqs) > 20:
@@ -318,8 +320,5 @@ def decorate_with_walsh_signs(
             raise InvalidSupportError(
                 f"frequency {m} has {len(reps)} representations; need exactly one"
             )
-        sign = 1
-        for idx in reps[0].indices:
-            sign *= rademacher(idx + 1, t)
-        out[m] = c * sign
+        out[m] = c * _sign([idx + 1 for idx in reps[0].indices], t)
     return TrigPolynomial(out)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidOrderError, ResourceError
-from .measure import IntervalSet
+
+if TYPE_CHECKING:
+    from .measure import IntervalSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +107,19 @@ class DyadicPoint:
         return DyadicPoint(num, scale)
 
 
+def _sign(exponents: Iterable[int], x: DyadicPoint) -> int:
+    """(-1)**(sum of the binary digits of x at the given positions)."""
+    parity = 0
+    for k in exponents:
+        parity ^= x.digit(k)
+    return -1 if parity else 1
+
+
 def rademacher(n: int, x: DyadicPoint) -> int:
     """(-1)**(n-th binary digit of x); right-continuous at dyadic points."""
     if n < 1:
         raise InvalidInputError("Rademacher index must be >= 1")
-    return -1 if x.digit(n) else 1
+    return _sign((n,), x)
 
 
 @dataclass(frozen=True)
@@ -148,10 +158,7 @@ class WalshIndex:
 
 def walsh_eval(m: WalshIndex, x: DyadicPoint) -> int:
     """Product of rademacher(k, x) over the exponents of m."""
-    parity = 0
-    for k in m.exponents:
-        parity ^= x.digit(k)
-    return -1 if parity else 1
+    return _sign(m.exponents, x)
 
 
 def _exponents_of(m: int) -> tuple[int, ...]:
@@ -189,21 +196,16 @@ def _max_scale(values_m) -> int:
 
 class _CellSpace:
     """Walsh polynomials on a fixed index list, evaluated exactly on the
-    2**scale cells of [0, 1) by the fast transform, which is also (up to
-    the cell count) its own adjoint.
-
-    ``scale`` defaults to the finest digit of the index list.
+    2**scale cells of [0, 1), scale the finest digit of the index list,
+    by the fast transform, which is also (up to the cell count) its own
+    adjoint.
     """
 
     dtype = float
 
-    def __init__(self, values_m: Sequence[int], scale: int | None = None):
+    def __init__(self, values_m: Sequence[int]):
         self.freqs = list(values_m)
-        support = _max_scale(self.freqs)
-        if scale is None:
-            scale = support
-        elif scale < support:
-            raise InvalidInputError("scale is coarser than the polynomial support")
+        scale = _max_scale(self.freqs)
         if scale > 24:
             raise ResourceError("cell enumeration is capped at scale 24")
         self.size = 1 << scale
@@ -253,16 +255,12 @@ class WalshPolynomial:
     def evaluate(self, x: DyadicPoint) -> float:
         total = 0.0
         for m, a in self.coefficients.items():
-            parity = 0
-            for k in _exponents_of(m):
-                parity ^= x.digit(k)
-            total += -a if parity else a
+            total += _sign(_exponents_of(m), x) * a
         return total
 
-    def cell_values(self, scale: int | None = None) -> np.ndarray:
-        """Values on the 2**scale cells (default max_scale), via the
-        fast transform."""
-        space = _CellSpace(self.coefficients, scale)
+    def cell_values(self) -> np.ndarray:
+        """Values on the 2**max_scale cells, via the fast transform."""
+        space = _CellSpace(self.coefficients)
         return space.values(np.array(list(self.coefficients.values()), dtype=np.float64))
 
     @property
@@ -278,7 +276,11 @@ class WalshPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WalshPolynomial":
-        return cls({int(c["value_m"]): float(c["coeff"]) for c in data["coefficients"]})
+        try:
+            coeffs = {int(c["value_m"]): float(c["coeff"]) for c in data["coefficients"]}
+        except (KeyError, TypeError) as exc:
+            raise InvalidInputError(f"malformed Walsh polynomial: {exc!r}") from exc
+        return cls(coeffs)
 
 
 def _walsh_rows(coefficients: Mapping[int, float]) -> list[dict]:
@@ -304,6 +306,16 @@ def _flip_orbit(alpha: DyadicPoint, exponents: Sequence[int]):
         yield point, parity
 
 
+def _orbit_sum(f: Callable[[DyadicPoint], float], alpha: DyadicPoint, exponents):
+    """Sum of f over the digit-flip orbit of alpha, each shift signed by
+    the parity of its flips."""
+    total = 0
+    for point, parity in _flip_orbit(alpha, exponents):
+        v = f(point)
+        total += -v if parity else v
+    return total
+
+
 def shift_sum(n: WalshIndex, m: WalshIndex, alpha: DyadicPoint) -> int:
     """Signed sum of w_n over the 2**l XOR-shifts of alpha by m's digits.
 
@@ -315,11 +327,7 @@ def shift_sum(n: WalshIndex, m: WalshIndex, alpha: DyadicPoint) -> int:
         raise InvalidOrderError(
             f"index orders differ: {n.order} vs {l}; the identity needs equal orders"
         )
-    total = 0
-    for point, parity in _flip_orbit(alpha, m.exponents):
-        w = walsh_eval(n, point)
-        total += -w if parity else w
-    return total
+    return _orbit_sum(lambda x: walsh_eval(n, x), alpha, m.exponents)
 
 
 def shift_sum_bulk(
@@ -360,11 +368,7 @@ def find_alpha(
     sufficiently fine dyadic point of it is returned, otherwise None.
     A nonempty result is guaranteed when |E| > 1 - 2**-l.
     """
-    exps = tuple(exponents)
-    if not exps or any(k < 1 for k in exps) or any(
-        exps[i] <= exps[i + 1] for i in range(len(exps) - 1)
-    ):
-        raise InvalidInputError("exponents must be strictly decreasing and >= 1")
+    exps = WalshIndex(tuple(exponents)).exponents
     current = E
     for k in exps:
         current = current.intersect(current.dyadic_translate(k))
@@ -406,14 +410,5 @@ def recover_coefficient(
     lower orders do not cancel in general, and indices containing all
     of m's exponents plus extras never arise at equal order.
     """
-    def value_at(p: DyadicPoint) -> float:
-        if isinstance(S, WalshPolynomial):
-            return S.evaluate(p)
-        return float(S(p))
-
-    numer = 0.0
-    for point, parity in _flip_orbit(alpha, m.exponents):
-        v = value_at(point)
-        numer += -v if parity else v
-    denom = shift_sum(m, m, alpha)
-    return numer / denom
+    value_at = S.evaluate if isinstance(S, WalshPolynomial) else lambda p: float(S(p))
+    return _orbit_sum(value_at, alpha, m.exponents) / shift_sum(m, m, alpha)

@@ -241,6 +241,57 @@ def test_missing_poly_file_is_2(capsys, tmp_path):
     assert code == 2
 
 
+MATRIX_ARGV = [
+    "matrix-experiment", "--kind", "trig", "--set", "0/1:63/64",
+    "--terms", "4,16,64,256", "--lam", "3", "--l", "2", "--d", "1",
+]
+
+
+_NORM = ["norm", "--kind", "trig", "--p", "4", "--poly"]
+_CUSTOM = [*MATRIX_ARGV, "--matrix-kind", "custom", "--matrix-file"]
+_NESTED = [*MATRIX_ARGV, "--matrix-kind", "nested-sets", "--matrix-file"]
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        pytest.param(_NORM, [1], id="poly-not-an-object"),
+        pytest.param(_NORM, {}, id="poly-without-coefficients"),
+        pytest.param(_NORM, {"coefficients": [{"freq": 20}]}, id="trig-row-without-re"),
+        pytest.param(_NORM, {"coefficients": [20]}, id="trig-row-not-an-object"),
+        pytest.param(
+            ["norm", "--kind", "walsh", "--p", "4", "--poly"],
+            {"coefficients": 6},
+            id="walsh-coefficients-not-a-list",
+        ),
+        pytest.param(
+            ["recover", "--m", "6", "--alpha", "0/1", "--poly"],
+            {"coefficients": [{}]},
+            id="walsh-row-without-keys",
+        ),
+        pytest.param(_CUSTOM, {"rows": [[20, 1.0]]}, id="matrix-row-not-an-object"),
+        pytest.param(_CUSTOM, [1, 2], id="matrix-not-an-object"),
+        pytest.param(_CUSTOM, {"rows": [{"20": [1]}]}, id="matrix-entry-not-a-number"),
+        pytest.param(_CUSTOM, {"bound": 2.0}, id="custom-without-rows"),
+        pytest.param(_CUSTOM, {"rows": [], "bound": []}, id="bound-not-a-number"),
+        pytest.param(_NESTED, {"sets": [20]}, id="set-not-a-list"),
+        pytest.param(
+            _NESTED, {"sets": [[20], [20, 68]], "bound": 0.5}, id="nested-bound-violated"
+        ),
+    ],
+)
+def test_malformed_input_file_is_2_with_payload(capsys, tmp_path, argv, data):
+    path = write_poly(tmp_path, "bad.json", data)
+    if argv[0] == "matrix-experiment":
+        argv = argv + [path, "--coeffs", write_poly(tmp_path, "poly.json", TRIG_POLY)]
+    else:
+        argv = argv + [path]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]
+
+
 def test_resource_guard_is_2(capsys):
     code, _, err = run_cli(capsys, "counterexample", "--l", "2", "--m-max", "2000")
     assert code == 2

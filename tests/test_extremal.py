@@ -157,6 +157,16 @@ def test_gradient_past_the_float_range_raises_resource_error():
         ratio_gradient(ones, iset, 400.0)
 
 
+def test_gradient_underflow_raises_resource_error():
+    # Euler: <c, grad F> = p F > 0, so an all-zero gradient at a nonzero
+    # vector is underflow; here M = 6e-3 and M^299 is below the float range
+    iset = walsh_family(2, 4).index_set()
+    small = {m: 1e-3 for m in iset.values()}
+    assert any(g != 0 for g in ratio_gradient(small, iset, 100.0).values())
+    with pytest.raises(ResourceError, match="underflow"):
+        ratio_gradient(small, iset, 300.0)
+
+
 def test_gradient_rejects_coarse_grids():
     iset = enumerate_index_set(geometric_sequence(4, 3), 1, "positive")
     for oversample in (0, 2):

@@ -25,10 +25,12 @@ from lacuna import (
     alpha_threshold,
     build_summation_matrix,
     energy_on_set,
+    enumerate_index_set,
     geometric_sequence,
     inverse_bound_experiment,
     inverse_parseval_check,
 )
+from lacuna.inverse import ExperimentRow
 
 
 def big_set(gap_num: int, gap_den: int) -> IntervalSet:
@@ -218,8 +220,33 @@ def test_prefix_matrix_rows_grow():
     assert mat.kind == "indicator"
     assert len(mat.rows) == 3
     assert set(mat.rows[2]) == {20, 68, 80}
-    assert mat.universe() == [20, 68, 80]
-    assert mat.column_report() == {20: 1.0, 68: 1.0, 80: 1.0}
+
+
+def test_matrix_rows_and_key_order_for_every_kind():
+    # prefix rows keep the listing order, nested rows are sorted, custom
+    # rows keep their own order and drop zero entries
+    prefix = build_summation_matrix("prefix-of-rearrangement", order=[80, 20, 68])
+    assert [list(row.items()) for row in prefix.rows] == [
+        [(80, 1.0)],
+        [(80, 1.0), (20, 1.0)],
+        [(80, 1.0), (20, 1.0), (68, 1.0)],
+    ]
+    nested = build_summation_matrix("nested-sets", sets=[[68, 20], [80, 20, 68, 68]])
+    assert [list(row.items()) for row in nested.rows] == [
+        [(20, 1.0), (68, 1.0)],
+        [(20, 1.0), (68, 1.0), (80, 1.0)],
+    ]
+    custom = build_summation_matrix(
+        "custom", rows=[{68: -0.5, "20": "0.25", 5: 0.0}, {}], bound=0.5
+    )
+    assert [list(row.items()) for row in custom.rows] == [[(68, -0.5), (20, 0.25)], []]
+    assert [m.kind for m in (prefix, nested, custom)] == ["indicator"] * 2 + ["custom"]
+    assert (prefix.bound, custom.bound) == (1.0, 0.5)
+    # every kind's entries meet the bound
+    with pytest.raises(BoundViolationError):
+        build_summation_matrix("nested-sets", sets=[[20], [20, 68]], bound=0.5)
+    with pytest.raises(InvalidRowError):
+        build_summation_matrix("custom", rows=[{20: None}])
 
 
 def test_prefix_matrix_rejects_duplicates():
@@ -331,6 +358,33 @@ def test_experiment_row_selecting_nothing_has_float_mass():
         assert (empty["energy"], empty["mass"], empty["bound"]) == (0.0, 0.0, 0.0)
         assert type(empty["mass"]) is float
         assert not empty["pass"]
+
+
+def test_experiment_rows_sum_each_row_in_its_key_order():
+    # a row's mass is summed in the row's key order (the listing for a
+    # prefix matrix, sorted for a nested one), so both are pinned by repr
+    rng = np.random.default_rng(3)
+    seq = geometric_sequence(4, 6)
+    values = sorted(enumerate_index_set(seq, 2, "positive").values())
+    coeffs = {
+        m: complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-4, 4) for m in values
+    }
+    order = [int(m) for m in rng.permutation(values)]
+    E, ctx = big_set(1, 64), trig_ctx()
+    c = float(E.measure) - 0.5
+    prefix = build_summation_matrix("prefix-of-rearrangement", order=order)
+    nested = build_summation_matrix("nested-sets", sets=[order[:n] for n in (3, 9, 15)])
+    for matrix, keys in (
+        (prefix, [order[:n] for n in range(1, len(order) + 1)]),
+        (nested, [sorted(order[:n]) for n in (3, 9, 15)]),
+    ):
+        want = []
+        for n, row in enumerate(keys, start=1):
+            S = TrigPolynomial({m: 1.0 * coeffs[m] for m in row})
+            energy = energy_on_set(S, E)
+            want.append(ExperimentRow(n, energy, S.mass, c * S.mass, energy > c * S.mass))
+        report = inverse_bound_experiment(coeffs, matrix, E, ctx)
+        assert repr(report.rows) == repr(tuple(want))
 
 
 def test_experiment_n_max_truncates():

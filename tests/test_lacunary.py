@@ -96,8 +96,6 @@ def test_critical_lambda_is_correctly_rounded():
 def test_critical_lambda_rejects_low_order():
     with pytest.raises(InvalidOrderError):
         critical_lambda(1)
-    with pytest.raises(InvalidInputError):
-        critical_lambda(3, tol=0.0)
 
 
 def test_critical_bracket_contains_root():

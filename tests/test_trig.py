@@ -348,6 +348,12 @@ def test_riesz_validation():
         riesz_product([4**k for k in range(1, 22)], [1] * 21)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0, True, Fraction(1), "1"])
+def test_riesz_rejects_signs_that_are_not_integers(sign):
+    with pytest.raises(InvalidInputError):
+        riesz_product([4, 16], [sign, -1])
+
+
 # --- modulation projection ------------------------------------------------
 
 

@@ -144,14 +144,17 @@ def test_cell_values_match_evaluate():
         )
 
 
-def test_cell_values_at_finer_scale():
-    poly = WalshPolynomial({6: 1.0})
-    coarse = poly.cell_values()
-    fine = poly.cell_values(scale=4)
-    assert len(fine) == 16
-    assert np.array_equal(fine, np.repeat(coarse, 4))
-    with pytest.raises(InvalidInputError):
-        poly.cell_values(scale=1)
+def test_evaluate_with_fraction_coefficients_equals_cell_values():
+    # dyadic-rational coefficients keep every partial sum exact, so the
+    # point evaluation and the transform must agree bit for bit
+    poly = WalshPolynomial(
+        {0: Fraction(1, 8), 6: Fraction(3, 4), 10: Fraction(-5, 16), 24: Fraction(7, 2)}
+    )
+    values = poly.cell_values()
+    scale = poly.max_scale
+    for i in range(1 << scale):
+        got = poly.evaluate(DyadicPoint(i, scale))
+        assert type(got) is float and got == values[i], i
 
 
 def test_cell_values_of_constant_and_zero():
