@@ -83,15 +83,6 @@ def _config_failure(message: str) -> _CliFailure:
     return _CliFailure(65, {"error": "malformed-config", "message": message})
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _int_csv(text: str) -> str:
     # stored as the raw string so the resolved config stays primitive;
     # parsed on use by _parse_int_list
@@ -121,12 +112,8 @@ def _load_json_file(path: str) -> dict:
 
 
 def _load_poly(path: str, kind: str):
-    data = _load_json_file(path)
-    if kind == "walsh":
-        return WalshPolynomial.from_json_dict(data)
-    if kind == "trig":
-        return TrigPolynomial.from_json_dict(data)
-    raise InvalidInputError(f"unknown polynomial kind {kind!r}")
+    decoder = WalshPolynomial if kind == "walsh" else TrigPolynomial
+    return decoder.from_json_dict(_load_json_file(path))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -455,7 +442,6 @@ def _matrix_from_args(args, coeffs):
     _flag("--matrix-file", type=str, default=None, help="sets/rows JSON file"),
     _flag("--bound", type=float, default=1.0),
     _flag("--n-max", type=int, default=None),
-    _flag("--zero-mode", action="store_true", default=False),
     formats=("json", "csv"),
 )
 def _run_matrix_experiment(args):
@@ -468,7 +454,6 @@ def _run_matrix_experiment(args):
         IntervalSet.parse(args.set),
         _context_from_args(args),
         n_max=args.n_max,
-        zero_mode=args.zero_mode,
     )
     rows = [r.to_json_dict() for r in report.rows]
     if args.format == "csv":
@@ -576,9 +561,8 @@ def _apply_config(actions: dict, raw: dict) -> dict:
         action = actions.get(key)
         if action is None:
             raise _config_failure(f"unknown config key {key!r}")
-        convert = _parse_bool if action.nargs == 0 else action.type
         try:
-            value = convert(text)
+            value = action.type(text)
         except (ValueError, TypeError) as exc:
             raise _config_failure(f"bad value for {key!r}: {exc}")
         if action.choices is not None and value not in action.choices:

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
-    InvalidOrderError,
     InvalidSupportError,
     LacunaError,
     ResourceError,
@@ -28,6 +27,8 @@ from .errors import (
 from .lacunary import (
     ChaosIndexSet,
     LacunarySequence,
+    _as_exponent,
+    _as_order,
     critical_lambda_bracket,
     dyadic_sequence,
     enumerate_index_set,
@@ -145,11 +146,14 @@ def trig_family(seq: LacunarySequence, l: int) -> ChaosFamily:
 
 
 def _index_set(family) -> ChaosIndexSet:
+    """The index set of a family, or the index set itself, once nonempty."""
     if isinstance(family, ChaosFamily):
-        return family.index_set()
-    if isinstance(family, ChaosIndexSet):
-        return family
-    raise InvalidInputError("expected a ChaosFamily or ChaosIndexSet")
+        family = family.index_set()
+    elif not isinstance(family, ChaosIndexSet):
+        raise InvalidInputError("expected a ChaosFamily or ChaosIndexSet")
+    if not len(family):
+        raise InvalidInputError("empty index set")
+    return family
 
 
 def _make_space(values, dyadic: bool, oversample: int):
@@ -177,11 +181,9 @@ def ratio_gradient(
     gradient.  Entries cover every index-set frequency, with absent
     coefficients treated as zero.
     """
-    if p <= 2:
-        raise InvalidInputError("p must exceed 2")
+    p = _as_exponent(p, search=True)
+    index_set = _index_set(index_set)
     values = index_set.values()
-    if not values:
-        raise InvalidInputError("empty index set")
     extra = set(coeffs) - set(values)
     if extra:
         raise InvalidSupportError(f"coefficients outside the index set: {sorted(extra)}")
@@ -267,13 +269,9 @@ def _random_start(space, seed_pair) -> np.ndarray:
 
 
 def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig):
-    """Best ratio over the restarts, and the all-equal start's ratio."""
-    if p <= 2:
-        raise InvalidInputError("p must exceed 2")
-    config.validate()
+    """Best ratio over the restarts, and the all-equal start's ratio, for
+    a p, config and nonempty support that the caller has checked."""
     values = sorted(values)
-    if not values:
-        raise InvalidInputError("empty index set")
     kind = "walsh" if dyadic else "trig"
     if len(values) == 1:
         # a single frequency has constant modulus, so the ratio is 1 by
@@ -335,8 +333,10 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     does not report (about 4e-8 relative at p = 3 on the first-order
     family of ``geometric_sequence(2, 8)``).
     """
+    p = _as_exponent(p, search=True)
     index_set = _index_set(index_set)
     config = config or ExtremalConfig()
+    config.validate()
     result, _ = _maximize_over_values(
         index_set.values(), index_set.is_dyadic, p, config
     )
@@ -390,17 +390,13 @@ def growth_exponent(
     transform.  An exponent whose search raises a ``LacunaError`` is
     left out of the fit and listed in ``skipped``.
     """
-    p_list = list(p_list)
+    p_list = [_as_exponent(p, search=True) for p in p_list]
     if len(p_list) < 4:
         raise InvalidInputError("need at least 4 exponents for a slope fit")
-    if any(p <= 2 for p in p_list):
-        raise InvalidInputError("all exponents must exceed 2")
     config = config or ExtremalConfig()
     config.validate()
     index_set = _index_set(family)
     values = index_set.values()
-    if not values:
-        raise InvalidInputError("empty index set")
     used_p = []
     ratios = []
     probe_ratios = []
@@ -441,11 +437,9 @@ def near_critical_sequence(l: int, length: int, bump: float = 0.0) -> LacunarySe
     """Scaled stand-in for the critical-ratio construction: geometric-ish
     growth one integer step above ratio (critical + bump), started at 3^l
     so that small signed sums stay distinct."""
-    if l < 2:
-        raise InvalidOrderError("order must be >= 2")
     if length < 1:
         raise InvalidInputError("length must be positive")
-    _, hi = critical_lambda_bracket(l, bits=64)
+    _, hi = critical_lambda_bracket(l, bits=64)  # checks the order
     lam_hat = float(hi) + bump
     terms = [3**l]
     while len(terms) < length:
@@ -502,10 +496,8 @@ def blowup_probe(
     critical side always runs on ``near_critical_sequence``, with a
     warning and ``degraded`` set.
     """
-    if l < 2:
-        raise InvalidOrderError("order must be >= 2")
-    if p <= 2:
-        raise InvalidInputError("p must exceed 2")
+    l = _as_order(l)
+    p = _as_exponent(p, search=True)
     budgets = sorted(set(int(b) for b in degree_list))
     if not budgets or budgets[0] < 1:
         raise InvalidInputError("degree budgets must be positive")

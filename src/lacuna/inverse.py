@@ -18,12 +18,13 @@ from typing import Mapping, Sequence
 from .errors import (
     BoundViolationError,
     InvalidInputError,
-    InvalidOrderError,
     InvalidRowError,
     InvalidSupportError,
 )
 from .lacunary import (
     LacunarySequence,
+    _as_key,
+    _as_order,
     _head_bounds,
     empirical_mixed_bound,
     representations,
@@ -35,22 +36,21 @@ from .walsh import WalshIndex, WalshPolynomial
 
 def alpha_threshold(l: int, d: int) -> float:
     """Measure threshold 1 - 1/(d * 2**(l+1)) for the trig-side bound."""
-    if not isinstance(l, int) or l < 2:
-        raise InvalidOrderError("order must be >= 2")
-    if not isinstance(d, int) or d < 1:
-        raise InvalidInputError("representation bound d must be a positive integer")
-    return float(_alpha_threshold_exact(l, d))
+    return float(_alpha_threshold_exact(_as_order(l), d))
 
 
 def _alpha_threshold_exact(l: int, d: int) -> Fraction:
+    """1 - 1/(d * 2**(l+1)) for a checked order l, once d is an integer >= 1."""
+    if not isinstance(d, int) or d < 1:
+        raise InvalidInputError("representation bound d must be a positive integer")
     return 1 - Fraction(1, d * 2 ** (l + 1))
 
 
 @dataclass(frozen=True)
 class TrigContext:
-    """Positive-sum chaos over a lacunary sequence, with the mixed
-    representation bound d (computed from the sequence window when not
-    supplied)."""
+    """Positive-sum chaos of order >= 2 over a lacunary sequence, with the
+    mixed representation bound d >= 1 (computed from the sequence window
+    when not supplied)."""
 
     sequence: LacunarySequence
     order: int
@@ -68,7 +68,7 @@ class TrigContext:
         notes, once S is checked to be a positive-sum chaos polynomial."""
         if not isinstance(S, TrigPolynomial):
             raise InvalidInputError("trig context expects a TrigPolynomial")
-        l = self.order
+        l = _as_order(self.order)
         for m in S.coefficients:
             if not representations(self.sequence, m, l, "positive"):
                 raise InvalidSupportError(
@@ -99,9 +99,7 @@ class WalshContext:
         once S is checked to be a dyadic chaos of orders 1..l, l >= 2."""
         if not isinstance(S, WalshPolynomial):
             raise InvalidInputError("walsh context expects a WalshPolynomial")
-        l = self.order
-        if l < 2:
-            raise InvalidOrderError("order must be >= 2")
+        l = _as_order(self.order)
         for m in S.coefficients:
             if m == 0 or WalshIndex.from_value(m).order > l:
                 raise InvalidSupportError(
@@ -217,7 +215,7 @@ def build_summation_matrix(
     if kind == "prefix-of-rearrangement":
         if order is None:
             raise InvalidInputError("prefix kind needs an order listing")
-        order = list(order)
+        order = [_as_key(m) for m in order]
         if len(set(order)) != len(order):
             raise InvalidInputError("order listing must be duplicate-free")
         sets = [order[:n] for n in range(1, len(order) + 1)]
@@ -225,7 +223,7 @@ def build_summation_matrix(
         if sets is None:
             raise InvalidInputError("nested kind needs the set family")
         try:
-            sets = [sorted(set(int(m) for m in s)) for s in sets]
+            sets = [sorted(set(map(_as_key, s))) for s in sets]
         except TypeError as exc:
             raise InvalidInputError("nested kind needs lists of integers") from exc
     elif kind != "custom":
@@ -245,6 +243,7 @@ def build_summation_matrix(
             raise InvalidRowError(f"row {i} is not a finite map")
         cleaned = {}
         for m, t in row.items():
+            m = _as_key(m)
             try:
                 t = float(t)
             except TypeError as exc:
@@ -256,7 +255,7 @@ def build_summation_matrix(
                     f"row {i} entry {t} at column {m} exceeds bound {bound}"
                 )
             if t != 0.0:
-                cleaned[int(m)] = t
+                cleaned[m] = t
         built.append(cleaned)
     matrix_kind = "indicator" if kind != "custom" else "custom"
     return SummationMatrix(rows=tuple(built), bound=bound, kind=matrix_kind)
@@ -285,7 +284,6 @@ class ExperimentReport:
     threshold: float
     lower_constant: float
     hypothesis_met: bool
-    zero_mode: bool
     rows: tuple[ExperimentRow, ...]
     implied_mass_bound: float | None
 
@@ -295,7 +293,6 @@ class ExperimentReport:
             "lower_constant": self.lower_constant,
             "hypothesis_met": self.hypothesis_met,
             "hypothesis": "met" if self.hypothesis_met else "not met",
-            "zero_mode": self.zero_mode,
             "implied_mass_bound": self.implied_mass_bound,
             "rows": [r.to_json_dict() for r in self.rows],
         }
@@ -307,16 +304,15 @@ def inverse_bound_experiment(
     E: IntervalSet,
     context,
     n_max: int | None = None,
-    zero_mode: bool = False,
 ) -> ExperimentReport:
     """Replay the inverse Parseval bound for each matrix row.
 
     Row n forms S_n = sum_m t_{n,m} c_m e_m, measures its energy over
     E and compares with c * sum |t_{n,m} c_m|^2.  When the measure
     hypothesis fails the rows are still produced but the report is
-    flagged "not met" rather than failed.  In zero mode the point of
-    the rows is the converse reading: masked mass is at most
-    energy / c, so vanishing energies force vanishing coefficients.
+    flagged "not met" rather than failed.  ``implied_mass_bound`` is the
+    converse reading: masked mass is at most energy / c, so vanishing
+    energies force vanishing coefficients.
     """
     if not isinstance(context, _CONTEXTS):
         raise InvalidInputError("context must be TrigContext or WalshContext")
@@ -342,7 +338,6 @@ def inverse_bound_experiment(
         threshold=float(threshold),
         lower_constant=lower_constant,
         hypothesis_met=bool(hypothesis_met),
-        zero_mode=zero_mode,
         rows=tuple(records),
         implied_mass_bound=implied,
     )

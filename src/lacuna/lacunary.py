@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +46,39 @@ def _as_fraction(x) -> Fraction:
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _as_order(l, least: int = 2) -> int:
+    """The chaos order l itself, once it is an int >= least."""
+    if not isinstance(l, int) or l < least:
+        raise InvalidOrderError(f"order must be an integer >= {least}")
+    return l
+
+
+def _as_exponent(p, search: bool = False):
+    """p itself, once finite with p >= 1, or p > 2 for an extremal search."""
+    if not isinstance(p, numbers.Real) or not math.isfinite(p):
+        raise InvalidInputError(f"p must be a finite number, got {p!r}")
+    if search and p <= 2:
+        raise InvalidInputError("p must exceed 2")
+    if p < 1:
+        raise InvalidInputError("p must be >= 1")
+    return p
+
+
+def _as_key(m) -> int:
+    """A frequency or column key as an int: ints, numpy ints, integral
+    floats and decimal strings (JSON object keys) are accepted."""
+    if type(m) is int:
+        return m
+    if isinstance(m, numbers.Integral) or (isinstance(m, float) and m.is_integer()):
+        return int(m)
+    if isinstance(m, str):
+        try:
+            return int(m)
+        except ValueError:
+            pass
+    raise InvalidInputError(f"key {m!r} is not an integer")
+
+
 def _critical_sign(l: int, num: int, bits: int) -> int:
     # p(x) = x^{l-1} - (x^{l-2} + ... + x + 1) is increasing on [1, 2], and
     # (x - 1) p(x) = x^l - 2 x^{l-1} + 1 has its sign for x > 1; this is
@@ -60,8 +94,6 @@ def critical_lambda(l: int) -> float:
     returned as the double that both ends of a ``critical_lambda_bracket``
     round to; the bracket starts at 64 bits and doubles until they agree.
     """
-    if not isinstance(l, int) or l < 2:
-        raise InvalidOrderError("order must be >= 2")
     bits = 64
     while True:
         lo, hi = critical_lambda_bracket(l, bits)
@@ -77,8 +109,7 @@ def critical_lambda_bracket(l: int, bits: int = 64) -> tuple[Fraction, Fraction]
     is exactly 1).  Useful when floors of huge multiples of lambda_l
     must be certified.
     """
-    if not isinstance(l, int) or l < 2:
-        raise InvalidOrderError("order must be >= 2")
+    l = _as_order(l)
     if bits < 1:
         raise InvalidInputError("bits must be positive")
     if l == 2:
@@ -295,8 +326,7 @@ def enumerate_index_set(
         With ALL representations of every value, not just one witness.
     """
     base, star = _normalize_variant(variant)
-    if not isinstance(l, int) or l < 1:
-        raise InvalidOrderError("order must be >= 1")
+    l = _as_order(l, 1)
     terms = seq.terms
     if l > len(terms):
         raise InsufficientTermsError(
@@ -369,8 +399,7 @@ def representations(
     since orders 1..l are always explored.
     """
     base, _ = _normalize_variant(variant)
-    if not isinstance(l, int) or l < 1:
-        raise InvalidOrderError("order must be >= 1")
+    l = _as_order(l, 1)
     if base == "dyadic":
         _require_dyadic_ladder(seq)
     terms = seq.terms
@@ -401,8 +430,7 @@ def mixed_representation_count(seq: LacunarySequence, m: int, l: int) -> int:
     sequence witness does not exceed the order-(l+1) critical ratio,
     where no uniform bound is promised.
     """
-    if not isinstance(l, int) or l < 1:
-        raise InvalidOrderError("order must be >= 1")
+    l = _as_order(l, 1)
     if _head_bounds(seq.lam, l + 1)[0] <= 0:
         warnings.warn(
             "lacunarity witness does not exceed the order-%d critical ratio; "
@@ -414,8 +442,7 @@ def mixed_representation_count(seq: LacunarySequence, m: int, l: int) -> int:
 
 def mixed_count_table(seq: LacunarySequence, l: int) -> dict[int, int]:
     """Exhaustive value -> mixed-representation-count map for the whole window."""
-    if not isinstance(l, int) or l < 1:
-        raise InvalidOrderError("order must be >= 1")
+    l = _as_order(l, 1)
     n = len(seq.terms)
     states = 0
     for s in range(l + 1):
@@ -541,8 +568,7 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
     merged sequence's lacunarity is verified pair by pair against the
     bracket's upper end.  Returns the sequence and a coverage report.
     """
-    if not isinstance(l, int) or l < 2:
-        raise InvalidOrderError("order must be >= 2")
+    l = _as_order(l)
     lo_m = 3**l
     if m_max < lo_m:
         raise InvalidInputError(f"m_max must be at least 3**l = {lo_m}")

@@ -128,23 +128,27 @@ class IntervalSet:
     def dyadic_translate(self, k: int) -> "IntervalSet":
         """Flip the k-th binary digit of every point (an involution).
 
-        On each scale-k cell pair the map is a plain translation by
-        +-2^-k, so interval endpoints stay rational and the measure is
-        preserved.
+        On each scale-k cell pair [2j, 2j+2) 2^-k the map swaps the two
+        cells by translations of +-2^-k, so whole pairs map onto themselves
+        and only the end pieces of an interval, at most four cells, move.
+        Endpoints stay rational and the measure is preserved.
         """
         if not isinstance(k, int) or k < 1:
             raise InvalidInputError("digit position must be a positive integer")
         step = Fraction(1, 2**k)
         out = []
+        pair = 2 * step
         for a, b in self.intervals:
-            lo_cell = a // step
-            while a < b:
-                cell_end = (lo_cell + 1) * step
-                hi = min(b, cell_end)
-                delta = step if lo_cell % 2 == 0 else -step
-                out.append((a + delta, hi + delta))
-                a = cell_end
-                lo_cell += 1
+            lo = min(-(-a // pair) * pair, b)  # first pair edge at or after a
+            hi = max(b // pair * pair, lo)  # last pair edge, not before lo
+            out.append((lo, hi))  # whole pairs, empty when lo == hi
+            for x, y in ((a, lo), (hi, b)):
+                cell = x // step
+                while x < y:
+                    end = (cell + 1) * step
+                    delta = step if cell % 2 == 0 else -step
+                    out.append((x + delta, min(y, end) + delta))
+                    x, cell = end, cell + 1
         return IntervalSet(out)
 
     def to_arg_string(self) -> str:

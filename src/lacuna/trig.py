@@ -22,7 +22,7 @@ from .errors import (
     ResourceError,
     UndefinedRatioError,
 )
-from .lacunary import ChaosIndexSet
+from .lacunary import ChaosIndexSet, _as_exponent, _as_key
 from .walsh import DyadicPoint, WalshPolynomial, _sign
 
 
@@ -39,7 +39,7 @@ class TrigPolynomial:
     coefficients: Mapping[int, complex]
 
     def __init__(self, coefficients: Mapping[int, complex]):
-        cleaned = {int(m): c for m, c in coefficients.items() if c != 0}
+        cleaned = {_as_key(m): c for m, c in coefficients.items() if c != 0}
         object.__setattr__(self, "coefficients", cleaned)
 
     @property
@@ -66,7 +66,7 @@ class TrigPolynomial:
     def from_json_dict(cls, data: dict) -> "TrigPolynomial":
         try:
             coeffs = {
-                int(c["freq"]): complex(float(c["re"]), float(c.get("im", 0.0)))
+                _as_key(c["freq"]): complex(float(c["re"]), float(c.get("im", 0.0)))
                 for c in data["coefficients"]
             }
         except (KeyError, TypeError) as exc:
@@ -166,36 +166,30 @@ def grid_to_coefficients(grid: GridEvaluation, freqs: Sequence[int]) -> dict[int
 
 
 def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
-    """L^p norm over [0, 1) by uniform-grid quadrature.
+    """L^p norm over [0, 1), finite p >= 1, by uniform-grid quadrature.
 
     The grid has oversample * (2*degree + 1) points; p == 2 bypasses the
     grid and returns the exact Parseval value.
     """
-    if p < 1:
-        raise InvalidInputError("p must be >= 1")
     N = _grid_size(S.degree, oversample)
-    if not S.coefficients:
-        return 0.0
-    if p == 2:
-        return S.norm2()
-    return _scaled_lp_mean(evaluate_grid(S, N).values, p)
+    return _lp_norm(S, p, lambda: evaluate_grid(S, N).values)
 
 
 def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
-    """Exact L^p norm of a Walsh polynomial via its cell values; p == 2 is Parseval."""
-    if p < 1:
-        raise InvalidInputError("p must be >= 1")
+    """Exact L^p norm, finite p >= 1, via the cell values; p == 2 is Parseval."""
+    return _lp_norm(S, p, S.cell_values)
+
+
+def _lp_norm(S, p: float, values) -> float:
+    """0 for the zero polynomial, Parseval at p == 2, else mean(|v|^p)^(1/p)
+    over v = values() as M mean((|v|/M)^p)^(1/p), M = max |v|, so that no
+    power overflows at large p or large values."""
+    p = _as_exponent(p)
     if not S.coefficients:
         return 0.0
     if p == 2:
         return S.norm2()
-    return _scaled_lp_mean(S.cell_values(), p)
-
-
-def _scaled_lp_mean(values: np.ndarray, p: float) -> float:
-    """mean(|v|^p)^(1/p) as M mean((|v|/M)^p)^(1/p), M = max |v|, so that
-    no power overflows at large p or large values."""
-    mod = np.abs(values)
+    mod = np.abs(values())
     top = float(mod.max())
     if top == 0.0:
         return 0.0
@@ -224,6 +218,18 @@ def _check_three_lacunary(freqs: Sequence[int]) -> bool:
     )
 
 
+def _as_frequencies(freqs: Sequence[int]) -> list[int]:
+    """freqs as a list, once it is a nonempty list of distinct positive ints."""
+    freqs = list(freqs)
+    if not freqs:
+        raise InvalidInputError("need at least one frequency")
+    if any(not isinstance(n, int) or n <= 0 for n in freqs):
+        raise InvalidInputError("frequencies must be positive integers")
+    if len(set(freqs)) != len(freqs):
+        raise InvalidInputError("frequencies must be distinct")
+    return freqs
+
+
 def _expand_product(freqs: Sequence[int], weights: Sequence, keep: bool) -> TrigPolynomial:
     """Exact expansion of prod_j (keep + 2 w_j cos(2 pi n_j x)), with the
     bool ``keep`` as the constant term 1 or 0 of every factor."""
@@ -244,13 +250,7 @@ def cos_product_expand(freqs: Sequence[int]) -> TrigPolynomial:
     signed combinations; for a 3-lacunary frequency list all 2**s
     combinations are distinct and every coefficient is exactly 2**-s.
     """
-    freqs = list(freqs)
-    if not freqs:
-        raise InvalidInputError("need at least one frequency")
-    if any(not isinstance(n, int) or n <= 0 for n in freqs):
-        raise InvalidInputError("frequencies must be positive integers")
-    if len(set(freqs)) != len(freqs):
-        raise InvalidInputError("frequencies must be distinct")
+    freqs = _as_frequencies(freqs)
     return _expand_product(freqs, [Fraction(1, 2)] * len(freqs), keep=False)
 
 
@@ -261,16 +261,12 @@ def riesz_product(freqs: Sequence[int], signs: Sequence[int]) -> TrigPolynomial:
     combination distinct: the constant coefficient is then exactly 1
     and the product is a nonnegative unit-mass weight.
     """
-    freqs = list(freqs)
+    freqs = _as_frequencies(freqs)
     signs = list(signs)
     if len(freqs) != len(signs):
         raise InvalidInputError("freqs and signs must have equal length")
     if any(type(s) is not int or s not in (-1, 1) for s in signs):
         raise InvalidInputError("signs must be the integers +1 or -1")
-    if any(not isinstance(n, int) or n <= 0 for n in freqs):
-        raise InvalidInputError("frequencies must be positive integers")
-    if len(freqs) > 20:
-        raise ResourceError("Riesz expansion is capped at 20 factors")
     if 3 ** len(freqs) > 10_000_000:
         raise ResourceError(
             f"expansion would carry 3**{len(freqs)} terms; shrink the factor list"
@@ -286,19 +282,20 @@ def modulation_projection(m: int, freqs: Sequence[int]) -> Fraction:
 
     Computed symbolically by frequency matching in the exact cosine
     expansion: 2**-s when m is a signed combination of the s
-    frequencies, else 0.  The clean dichotomy relies on a 3-lacunary
-    frequency list; other lists are accepted with a warning, and the
-    matched (possibly accumulated) coefficient is returned as is.
+    distinct positive frequencies, else 0.  The clean dichotomy relies on
+    a 3-lacunary frequency list; other lists are accepted with a warning,
+    and the matched (possibly accumulated) coefficient is returned as is.
     """
+    m = _as_key(m)
+    freqs = list(freqs)
+    expansion = cos_product_expand(freqs)
     if not _check_three_lacunary(freqs):
         warnings.warn(
             "frequency list is not 3-lacunary; the projection factor may "
             "accumulate several signed combinations",
             stacklevel=2,
         )
-    expansion = cos_product_expand(freqs)
-    value = expansion.coefficients.get(int(m), Fraction(0))
-    return Fraction(value)
+    return Fraction(expansion.coefficients.get(m, Fraction(0)))
 
 
 def decorate_with_walsh_signs(

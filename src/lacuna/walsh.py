@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidOrderError, ResourceError
+from .lacunary import _as_key
 
 if TYPE_CHECKING:
     from .measure import IntervalSet
@@ -240,12 +241,12 @@ class WalshPolynomial:
     def __init__(self, coefficients: Mapping[int, float]):
         cleaned = {}
         for m, a in coefficients.items():
-            if m != 0:
-                _exponents_of(int(m))  # validates the key
+            m = _as_key(m)
+            _exponents_of(m)  # validates the key
             if not isinstance(a, numbers.Real):
                 raise InvalidInputError(f"Walsh coefficient {a!r} at {m} is not real")
             if a:
-                cleaned[int(m)] = a
+                cleaned[m] = a
         object.__setattr__(self, "coefficients", cleaned)
 
     @property
@@ -277,7 +278,7 @@ class WalshPolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WalshPolynomial":
         try:
-            coeffs = {int(c["value_m"]): float(c["coeff"]) for c in data["coefficients"]}
+            coeffs = {_as_key(c["value_m"]): float(c["coeff"]) for c in data["coefficients"]}
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed Walsh polynomial: {exc!r}") from exc
         return cls(coeffs)
@@ -381,7 +382,7 @@ def find_alpha(
         num = -((-a) // step)  # ceil(a / step)
         candidate = num * step
         if candidate < b:
-            point = DyadicPoint(int(num), scale)
+            point = DyadicPoint(num, scale)
             break
         scale += 1
     for shifted, _ in _flip_orbit(point, exps):

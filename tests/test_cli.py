@@ -7,6 +7,7 @@ tmp_path, and the rerun tests compare raw bytes, not parsed content.
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -260,6 +261,9 @@ _NESTED = [*MATRIX_ARGV, "--matrix-kind", "nested-sets", "--matrix-file"]
         pytest.param(_NORM, {"coefficients": [{"freq": 20}]}, id="trig-row-without-re"),
         pytest.param(_NORM, {"coefficients": [20]}, id="trig-row-not-an-object"),
         pytest.param(
+            _NORM, {"coefficients": [{"freq": 20.7, "re": 1.0}]}, id="trig-freq-not-an-integer"
+        ),
+        pytest.param(
             ["norm", "--kind", "walsh", "--p", "4", "--poly"],
             {"coefficients": 6},
             id="walsh-coefficients-not-a-list",
@@ -269,12 +273,20 @@ _NESTED = [*MATRIX_ARGV, "--matrix-kind", "nested-sets", "--matrix-file"]
             {"coefficients": [{}]},
             id="walsh-row-without-keys",
         ),
+        pytest.param(
+            ["recover", "--m", "6", "--alpha", "0/1", "--poly"],
+            {"coefficients": [{"value_m": 6.9, "coeff": 1.0}]},
+            id="walsh-value_m-not-an-integer",
+        ),
         pytest.param(_CUSTOM, {"rows": [[20, 1.0]]}, id="matrix-row-not-an-object"),
         pytest.param(_CUSTOM, [1, 2], id="matrix-not-an-object"),
         pytest.param(_CUSTOM, {"rows": [{"20": [1]}]}, id="matrix-entry-not-a-number"),
         pytest.param(_CUSTOM, {"bound": 2.0}, id="custom-without-rows"),
         pytest.param(_CUSTOM, {"rows": [], "bound": []}, id="bound-not-a-number"),
         pytest.param(_NESTED, {"sets": [20]}, id="set-not-a-list"),
+        pytest.param(
+            _NESTED, {"sets": [[20.7], [20.7, 68]]}, id="set-member-not-an-integer"
+        ),
         pytest.param(
             _NESTED, {"sets": [[20], [20, 68]], "bound": 0.5}, id="nested-bound-violated"
         ),
@@ -290,6 +302,75 @@ def test_malformed_input_file_is_2_with_payload(capsys, tmp_path, argv, data):
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert json.loads(err)["error"]
+
+
+_INVERSE_TRIG = [
+    "inverse-check", "--kind", "trig", "--set", "0/1:63/64",
+    "--terms", "4,16,64,256", "--lam", "3",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, poly, kind",
+    [
+        pytest.param(
+            ["norm", "--kind", "walsh", "--p", "nan", "--poly"], WALSH_POLY,
+            "invalid-input", id="norm-p-nan",
+        ),
+        pytest.param(
+            ["norm", "--kind", "trig", "--p", "inf", "--poly"], TRIG_POLY,
+            "invalid-input", id="norm-p-inf",
+        ),
+        pytest.param(
+            ["extremal", "--family", "walsh", "--l", "2", "--exponent-budget", "4",
+             "--p", "nan"],
+            None, "invalid-input", id="extremal-p-nan",
+        ),
+        pytest.param(
+            ["growth", "--family", "walsh", "--l", "2", "--exponent-budget", "4",
+             "--p-list", "4,8,16,nan"],
+            None, "invalid-input", id="growth-p-nan",
+        ),
+        pytest.param(
+            ["growth", "--family", "walsh", "--l", "2", "--exponent-budget", "4",
+             "--p-list", "4,8,16,inf"],
+            None, "invalid-input", id="growth-p-inf",
+        ),
+        pytest.param(
+            ["blowup", "--l", "2", "--p", "nan", "--degree-list", "2,4"],
+            None, "invalid-input", id="blowup-p-nan",
+        ),
+        pytest.param(
+            [*_INVERSE_TRIG, "--l", "2", "--d", "0", "--poly"], TRIG_POLY,
+            "invalid-input", id="inverse-check-d-0",
+        ),
+        pytest.param(
+            [*_INVERSE_TRIG, "--l", "2", "--d", "-1", "--poly"], TRIG_POLY,
+            "invalid-input", id="inverse-check-d-minus-1",
+        ),
+        pytest.param(
+            [*_INVERSE_TRIG, "--l", "1", "--d", "1", "--poly"], TRIG_POLY,
+            "invalid-order", id="inverse-check-l-1",
+        ),
+        pytest.param(
+            ["project", "--m", "4", "--freqs", "0,4"], None,
+            "invalid-input", id="project-freq-0",
+        ),
+        pytest.param(
+            ["project", "--m", "4", "--freqs", "4,4"], None,
+            "invalid-input", id="project-freq-repeated",
+        ),
+    ],
+)
+def test_out_of_domain_input_is_2_with_payload(capfd, tmp_path, argv, poly, kind):
+    if poly is not None:
+        argv = argv + [write_poly(tmp_path, "poly.json", poly)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capfd, *argv)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == kind, payload
 
 
 def test_resource_guard_is_2(capsys):
@@ -370,19 +451,6 @@ def test_config_value_outside_choices_is_65(capsys, tmp_path, line, argv):
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 65
     assert out == ""
-    assert json.loads(err)["error"] == "malformed-config"
-
-
-def test_config_sets_store_true_flag(capsys, tmp_path):
-    argv = readme_argv(tmp_path, "matrix-experiment")
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text("zero-mode = yes\n")
-    code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out.splitlines()[0])["config"]["zero_mode"] is True
-    cfg.write_text("zero-mode = maybe\n")
-    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
-    assert code == 65
     assert json.loads(err)["error"] == "malformed-config"
 
 

@@ -299,13 +299,10 @@ def test_experiment_full_circle_rows_are_masked_parseval():
         assert row.passed
 
 
-def test_experiment_zero_coefficients_zero_mode():
+def test_experiment_zero_coefficients():
     coeffs = {20: 0.0 + 0j, 68: 0.0 + 0j}
     mat = build_summation_matrix("prefix-of-rearrangement", order=[20, 68])
-    report = inverse_bound_experiment(
-        coeffs, mat, big_set(1, 32), trig_ctx(), zero_mode=True
-    )
-    assert report.zero_mode
+    report = inverse_bound_experiment(coeffs, mat, big_set(1, 32), trig_ctx())
     for row in report.rows:
         assert row.energy == 0.0
         assert row.mass == 0.0

@@ -21,6 +21,7 @@ from lacuna import (
     TrigPolynomial,
     WalshPolynomial,
     energy_on_set,
+    find_alpha,
     interval_fourier,
 )
 
@@ -123,6 +124,47 @@ def test_dyadic_translate_is_involution():
         assert E.dyadic_translate(k).dyadic_translate(k).intervals == E.intervals
     with pytest.raises(InvalidInputError):
         E.dyadic_translate(0)
+
+
+def _per_cell_digit_flip(E, k):
+    """Reference digit flip: every scale-k cell piece moved on its own."""
+    step = Fraction(1, 2**k)
+    out = []
+    for a, b in E.intervals:
+        cell = a // step
+        while a < b:
+            end = (cell + 1) * step
+            delta = step if cell % 2 == 0 else -step
+            out.append((a + delta, min(b, end) + delta))
+            a, cell = end, cell + 1
+    return IntervalSet(out)
+
+
+def test_dyadic_translate_matches_per_cell_flip():
+    rng = np.random.default_rng(7)
+    for _ in range(600):
+        k = int(rng.integers(1, 9))
+        den = int(rng.choice([2 ** int(rng.integers(0, 11)), int(rng.integers(1, 60))]))
+        ends = sorted(Fraction(int(x), den) for x in rng.integers(0, den + 1, 6))
+        E = IntervalSet(list(zip(ends[::2], ends[1::2])))
+        assert E.dyadic_translate(k) == _per_cell_digit_flip(E, k), (E, k)
+
+
+def test_dyadic_translate_at_a_fine_digit():
+    # 2^40 cells: a walk over every cell would never finish
+    E = IntervalSet([(0, Fraction(15, 16))])
+    assert E.dyadic_translate(40) == E
+    F = IntervalSet([(Fraction(1, 3), Fraction(2, 3))])
+    T = F.dyadic_translate(40)
+    assert T.measure == F.measure
+    step = Fraction(1, 2**40)
+    for end in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+        for j in range(-3, 4):
+            x = (end // step + j) * step + step / 3
+            flipped = x + (step if (x // step) % 2 == 0 else -step)
+            assert T.contains(flipped) == F.contains(x), (end, j)
+    point = find_alpha(E, (40, 1))
+    assert point is not None and E.contains(point.as_fraction())
 
 
 # --- indicator Fourier coefficients --------------------------------------
