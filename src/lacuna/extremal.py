@@ -9,6 +9,7 @@ threshold.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -61,6 +62,8 @@ class ExtremalConfig:
             raise InvalidInputError("step must be positive")
         if self.oversample < 4:
             raise InvalidInputError("oversample below 4 risks aliasing")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidInputError("seed must be a non-negative integer")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -498,10 +501,14 @@ def blowup_probe(
     """
     l = _as_order(l)
     p = _as_exponent(p, search=True)
-    budgets = sorted(set(int(b) for b in degree_list))
-    if not budgets or budgets[0] < 1:
-        raise InvalidInputError("degree budgets must be positive")
+    budgets = list(degree_list)
+    if not budgets or not all(
+        isinstance(b, numbers.Integral) and b >= 1 for b in budgets
+    ):
+        raise InvalidInputError("degree budgets must be positive integers")
+    budgets = sorted(set(int(b) for b in budgets))
     config = ExtremalConfig(restarts=2, max_iter=80, seed=seed)
+    config.validate()
     warnings.warn(
         "exact critical construction needs frequencies beyond the grid "
         "budget; degrading to a scaled congruent sequence",

@@ -1,6 +1,6 @@
 """Input-domain tests: every public entry point refuses a bad exponent,
-order, key, frequency list or bound d with a typed error, and the
-accepted key forms keep working.
+order, key, frequency list, bound d, search seed or blowup budget with a
+typed error, and the accepted key forms keep working.
 
 Each rule lives in one helper (``lacunary._as_exponent``, ``_as_order``,
 ``_as_key``, ``trig._as_frequencies`` and ``inverse._alpha_threshold_exact``),
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lacuna import (
+    ExtremalConfig,
     IntervalSet,
     InvalidInputError,
     InvalidOrderError,
@@ -111,6 +112,19 @@ BAD_INPUTS = [
     pytest.param(
         lambda: enumerate_index_set(SEQ, 1.5), InvalidOrderError, id="enumerate-order-1.5"
     ),
+    pytest.param(
+        lambda: maximize_ratio(walsh_family(2, 4), 4, ExtremalConfig(restarts=2, seed=-1)),
+        InvalidInputError,
+        id="extremal-seed-minus-1",
+    ),
+    pytest.param(
+        lambda: maximize_ratio(walsh_family(2, 4), 4, ExtremalConfig(restarts=2, seed=1.5)),
+        InvalidInputError,
+        id="extremal-seed-1.5",
+    ),
+    pytest.param(lambda: blowup_probe(2, 4, [2], seed=-1), InvalidInputError, id="blowup-seed-minus-1"),
+    pytest.param(lambda: blowup_probe(2, 4, [2.7]), InvalidInputError, id="blowup-budget-2.7"),
+    pytest.param(lambda: blowup_probe(2, 4, ["4"]), InvalidInputError, id="blowup-budget-string-4"),
 ]
 
 

@@ -21,9 +21,12 @@ from lacuna import (
     TrigPolynomial,
     WalshPolynomial,
     energy_on_set,
+    enumerate_index_set,
     find_alpha,
+    geometric_sequence,
     interval_fourier,
 )
+from lacuna.measure import _BLOCK
 
 
 def oracle_interval_fourier(intervals, k):
@@ -35,6 +38,24 @@ def oracle_interval_fourier(intervals, k):
         w = 2j * math.pi * k
         total += (cmath.exp(w * float(b)) - cmath.exp(w * float(a))) / w
     return total
+
+
+def pair_sum_energy(poly, E):
+    """The per-pair double sum of c_t conj(c_s) times the exact-phase
+    interval_fourier(E, t - s), each difference taken once."""
+    phi = {}
+    total = 0j
+    for t, ct in poly.coefficients.items():
+        for s, cs in poly.coefficients.items():
+            if t - s not in phi:
+                phi[t - s] = interval_fourier(E, t - s)
+            total += complex(ct) * complex(cs).conjugate() * phi[t - s]
+    return total.real
+
+
+def random_trig(keys, seed):
+    rng = np.random.default_rng(seed)
+    return TrigPolynomial({k: complex(*rng.standard_normal(2)) for k in keys})
 
 
 def oracle_trig_energy(poly, intervals, n=2**17):
@@ -253,6 +274,59 @@ def test_trig_energy_complement_identity():
     total = sum(abs(c) ** 2 for c in poly.coefficients.values())
     got = energy_on_set(poly, E) + energy_on_set(poly, E.complement())
     assert got == pytest.approx(total, abs=1e-10)
+
+
+def test_trig_energy_matches_pair_sum_on_an_asymmetric_support():
+    # E is not symmetric under x -> -x and the support is not symmetric
+    # under k -> -k, so the form conj(c)^T Phi c (the energy of S(-x) on
+    # -E) differs from c^T Phi conj(c) here
+    E = IntervalSet(
+        [(Fraction(1, 7), Fraction(3, 5)), (Fraction(2, 3), Fraction(9, 11)),
+         (Fraction(12, 13), Fraction(37, 39))]
+    )
+    for seed in range(4):
+        poly = random_trig([-5, 3, 17, 40, 121, 300, 1025, -4097], seed)
+        for F in (E, E.complement()):
+            want = pair_sum_energy(poly, F)
+            assert energy_on_set(poly, F) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_trig_energy_with_keys_past_two_to_the_63():
+    # adjacent keys near 4^40 round to one float; their difference must
+    # be taken in integers
+    keys = [2**53 + 1, 2**53 + 4, 2**63 - 1, 2**63 + 2, 2**63 + 7, 4**40 - 3, 4**40, 4**40 + 1]
+    keys += [4**40 + 4**39 - 4**38, -(4**40) - 5]
+    E = IntervalSet([(Fraction(1, 3), Fraction(5, 7)), (Fraction(7, 9), Fraction(999, 1000))])
+    poly = random_trig(keys, 1)
+    for F in (E, E.complement()):
+        got = energy_on_set(poly, F)
+        assert math.isfinite(got)
+        assert got == pytest.approx(pair_sum_energy(poly, F), rel=1e-13, abs=0)
+
+
+def test_trig_energy_across_row_blocks_on_the_276_pair_sums():
+    # the pair sums of geometric_sequence(4, 24) are 276 keys, more than
+    # one row block, on a full circle with one gap
+    keys = enumerate_index_set(geometric_sequence(4, 24), 2, "positive").values()
+    assert len(keys) > _BLOCK
+    poly = random_trig(keys, 2)
+    E = IntervalSet([(0, Fraction(1733, 4096)), (Fraction(2011, 4096), 1)])
+    total = 0.0
+    for F in (E, E.complement()):
+        got = energy_on_set(poly, F)
+        assert got == pytest.approx(pair_sum_energy(poly, F), rel=1e-13, abs=0)
+        total += got
+    assert total == pytest.approx(poly.mass, abs=1e-10)
+
+
+def test_energy_is_a_python_float():
+    E = IntervalSet([(Fraction(1, 4), Fraction(2, 3))])
+    for poly in (
+        TrigPolynomial({4: 1.0, 16: 0.5j}),
+        TrigPolynomial({}),
+        WalshPolynomial({6: 1.0, 10: -0.5}),
+    ):
+        assert type(energy_on_set(poly, E)) is float
 
 
 def test_walsh_energy_with_non_dyadic_endpoints():
