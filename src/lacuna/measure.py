@@ -186,9 +186,7 @@ _BLOCK = 256
 
 
 def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
-    # energy = sum_{t,s} c_t conj(c_s) phi(t - s) = c^T Phi conj(c), with
-    # phi(t - s) = sum_x sign_x e(t x) conj(e(s x)) / (2 pi i (t - s)) over
-    # the endpoints x (+ for b, - for a) and phi(0) = |E|
+    # c^T Phi conj(c), not conj(c)^T Phi c: that is the energy of S(-x) on -E
     keys = list(coefficients)
     ends = [x for interval in E.intervals for x in interval]
     turns = np.array([_turns(k, x) for k in keys for x in ends])

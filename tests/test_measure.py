@@ -3,7 +3,8 @@
 Fourier coefficients of indicator functions have closed forms on single
 intervals; the quadrature oracle below cross-checks the analytic energy
 path with a midpoint rule, which is exact for trigonometric polynomials
-of degree below the grid size.
+of degree below the grid size.  The pair-sum oracle is the per-pair
+double sum over ``interval_fourier`` that the Gram form replaced.
 """
 
 import cmath
