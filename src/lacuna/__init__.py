@@ -31,7 +31,6 @@ from .extremal import (
     blowup_probe,
     growth_exponent,
     maximize_ratio,
-    near_critical_sequence,
     ratio_gradient,
     trig_family,
     walsh_family,

@@ -3,16 +3,15 @@
 Maximizes the L^p over L^2 norm ratio of chaos polynomials with a
 power iteration on the unit coefficient sphere, fits the growth
 exponent of the best ratio against p, and probes the blow-up of the
-ratio when the underlying sequence sits at the critical lacunarity
-threshold.
+ratio against the budget on the certified critical construction of
+``lacunary.counterexample_sequence``, beside a ratio-3 geometric
+control.
 """
 
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,11 +29,12 @@ from .lacunary import (
     LacunarySequence,
     _as_exponent,
     _as_order,
-    critical_lambda_bracket,
+    counterexample_sequence,
     dyadic_sequence,
     enumerate_index_set,
+    geometric_sequence,
 )
-from .trig import _GridSpace, _grid_size, _next_smooth, _trig_rows
+from .trig import _GridSpace, _as_oversample, _grid_size, _next_smooth, _trig_rows
 from .walsh import _CellSpace, _walsh_rows
 
 EPS_REG = 1e-14
@@ -56,12 +56,12 @@ class ExtremalConfig:
     oversample: int = 8
 
     def validate(self) -> None:
-        if self.restarts < 1 or self.max_iter < 1:
-            raise InvalidInputError("restarts and max_iter must be positive")
+        counts = (self.restarts, self.max_iter)
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in counts):
+            raise InvalidInputError("restarts and max_iter must be positive integers")
         if not self.step > 0:
             raise InvalidInputError("step must be positive")
-        if self.oversample < 4:
-            raise InvalidInputError("oversample below 4 risks aliasing")
+        _as_oversample(self.oversample)
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise InvalidInputError("seed must be a non-negative integer")
 
@@ -436,20 +436,6 @@ def growth_exponent(
     )
 
 
-def near_critical_sequence(l: int, length: int, bump: float = 0.0) -> LacunarySequence:
-    """Scaled stand-in for the critical-ratio construction: geometric-ish
-    growth one integer step above ratio (critical + bump), started at 3^l
-    so that small signed sums stay distinct."""
-    if length < 1:
-        raise InvalidInputError("length must be positive")
-    _, hi = critical_lambda_bracket(l, bits=64)  # checks the order
-    lam_hat = float(hi) + bump
-    terms = [3**l]
-    while len(terms) < length:
-        terms.append(int(lam_hat * terms[-1]) + 1)
-    return LacunarySequence(tuple(terms), lam=Fraction(lam_hat))
-
-
 @dataclass(frozen=True)
 class BlowupRow:
     budget: int
@@ -463,41 +449,42 @@ class BlowupReport:
     p: float
     rows: tuple
     critical_nondecreasing: bool
-    control_spread: float
-    degraded: bool
+    slope_critical: float | None  # None below two budgets
+    slope_control: float | None
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
 def _budget_values(seq: LacunarySequence, l: int, max_budget: int) -> list:
-    length = l + 2
-    while True:
-        values = enumerate_index_set(seq.prefix(min(length, len(seq.terms))), l).values()
-        if len(values) >= max_budget or length >= len(seq.terms):
-            break
-        length += 1
-    if len(values) < max_budget:
-        raise ResourceError(
-            f"budget {max_budget} exceeds the {len(values)} enumerable frequencies"
-        )
-    return sorted(values, key=abs)
+    for length in range(l + 2, len(seq.terms) + 1):
+        values = enumerate_index_set(seq.prefix(length), l).values()
+        if len(values) >= max_budget:
+            return sorted(values, key=abs)
+    raise ResourceError(
+        f"budget {max_budget} exceeds the {len(values)} enumerable frequencies"
+    )
 
 
 def blowup_probe(
     l: int, p: float, degree_list: Sequence[int], seed: int = 0
 ) -> BlowupReport:
-    """Ratio trend at the critical lacunarity threshold.
+    """Ratio trend at the critical lacunarity threshold, against a control.
 
-    For each budget the search keeps that many signed l-wise sums
-    (smallest magnitudes first) and maximizes the ratio over them; the
-    same budgets run on a comfortably lacunary control at ratio
-    critical + 0.2.  The trend is reported, never asserted: divergence
-    at the threshold is a limit statement.  The exact critical
-    construction (``counterexample_sequence(l, 3**l)``) has terms of 60
-    bits and more already at l = 2, far beyond any grid, so the
-    critical side always runs on ``near_critical_sequence``, with a
-    warning and ``degraded`` set.
+    The critical side runs on the certified construction: the witnesses
+    of ``counterexample_sequence(l, 3**l + ceil(B / 2) - 1)``, for the
+    largest budget B, make every m from 3**l on an order-l signed sum
+    n_l - n_{l-1} - ... - n_1, so budget b keeps the b smallest of the
+    frequencies +-m.  The control keeps the b smallest-magnitude order-l
+    signed sums of ``geometric_sequence(3, 4 * l + 16)``, at ratio 3.
+    Each budget maximizes the ratio over both frequency sets.
+
+    ``slope_critical`` and ``slope_control`` are the log-log slopes of
+    ratio against budget (None below two budgets).  For reference,
+    consecutive frequencies form a Dirichlet kernel, whose slope tends
+    to 1/2 - 1/p.  The trend is reported, never asserted: divergence at
+    the threshold is a limit statement.  A control grid above 2^24
+    points raises ``ResourceError`` before any search runs.
     """
     l = _as_order(l)
     p = _as_exponent(p, search=True)
@@ -509,36 +496,30 @@ def blowup_probe(
     budgets = sorted(set(int(b) for b in budgets))
     config = ExtremalConfig(restarts=2, max_iter=80, seed=seed)
     config.validate()
-    warnings.warn(
-        "exact critical construction needs frequencies beyond the grid "
-        "budget; degrading to a scaled congruent sequence",
-        RuntimeWarning,
-    )
-    crit_seq = near_critical_sequence(l, 4 * l + 16, bump=0.0)
-    control_seq = near_critical_sequence(l, 4 * l + 16, bump=0.2)
-    crit_values = _budget_values(crit_seq, l, budgets[-1])
-    control_values = _budget_values(control_seq, l, budgets[-1])
+    top = budgets[-1]
+    control = _budget_values(geometric_sequence(3, 4 * l + 16), l, top)
+    # check the control grid's cap before any search; the critical degree
+    # grows only linearly in the budget
+    _make_space(control[:top], False, config.oversample)
+    _, cover = counterexample_sequence(l, 3**l + (top + 1) // 2 - 1)
+    critical = sorted((s * m for m in cover["witnesses"] for s in (1, -1)), key=abs)
     rows = []
     for budget in budgets:
-        r_crit, _ = _maximize_over_values(crit_values[:budget], False, p, config)
-        r_ctrl, _ = _maximize_over_values(control_values[:budget], False, p, config)
-        rows.append(
-            BlowupRow(
-                budget=budget,
-                ratio_critical=r_crit.ratio,
-                ratio_control=r_ctrl.ratio,
-            )
-        )
+        r_crit, _ = _maximize_over_values(critical[:budget], False, p, config)
+        r_ctrl, _ = _maximize_over_values(control[:budget], False, p, config)
+        rows.append(BlowupRow(budget, r_crit.ratio, r_ctrl.ratio))
     ratios_crit = [r.ratio_critical for r in rows]
-    nondecreasing = all(
-        b >= a - 1e-9 for a, b in zip(ratios_crit, ratios_crit[1:])
-    )
-    ctrl = [r.ratio_control for r in rows]
+    slopes = [
+        _fit_line(np.log(budgets), np.log(side))[0] if len(budgets) > 1 else None
+        for side in (ratios_crit, [r.ratio_control for r in rows])
+    ]
     return BlowupReport(
         order=l,
         p=float(p),
         rows=tuple(rows),
-        critical_nondecreasing=bool(nondecreasing),
-        control_spread=float(max(ctrl) - min(ctrl)),
-        degraded=True,
+        critical_nondecreasing=all(
+            b >= a - 1e-9 for a, b in zip(ratios_crit, ratios_crit[1:])
+        ),
+        slope_critical=slopes[0],
+        slope_control=slopes[1],
     )

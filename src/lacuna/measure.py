@@ -165,11 +165,21 @@ def _turns(k: int, x: Fraction) -> float:
     return k * x.numerator % x.denominator / x.denominator
 
 
+def _as_float(k: int) -> float:
+    """A frequency k or t - s as a float; ResourceError past the float range."""
+    try:
+        return float(k)
+    except OverflowError:
+        bits = int(k).bit_length()
+        raise ResourceError(f"frequency of {bits} bits passes the float range") from None
+
+
 def interval_fourier(E: IntervalSet, k: int) -> complex:
     """Exact closed form of the integral of e^{2 pi i k x} over E.
 
     For k == 0 this is the measure.  Phases are reduced modulo 1 in
-    exact integer arithmetic (`_turns`) before exponentiation.
+    exact integer arithmetic (`_turns`) before exponentiation.  A k past
+    the float range raises ``ResourceError``.
     """
     if k == 0:
         return complex(float(E.measure), 0.0)
@@ -178,7 +188,7 @@ def interval_fourier(E: IntervalSet, k: int) -> complex:
         total += cmath.exp(2j * cmath.pi * _turns(k, b)) - cmath.exp(
             2j * cmath.pi * _turns(k, a)
         )
-    return total / (2j * cmath.pi * k)
+    return total / (2j * cmath.pi * _as_float(k))
 
 
 # rows of the Gram form held at once, so memory is O(_BLOCK * n), not n^2
@@ -188,6 +198,7 @@ _BLOCK = 256
 def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
     # c^T Phi conj(c), not conj(c)^T Phi c: that is the energy of S(-x) on -E
     keys = list(coefficients)
+    _as_float(max(keys, default=0) - min(keys, default=0))  # so every t - s fits
     ends = [x for interval in E.intervals for x in interval]
     turns = np.array([_turns(k, x) for k in keys for x in ends])
     phases = np.exp(2j * np.pi * turns).reshape(len(keys), len(ends))
@@ -244,7 +255,8 @@ def energy_on_set(S, E: IntervalSet) -> float:
     (#intervals + n) eps (sum_t |c_t|)^2.  On the 276 pair sums of
     ``geometric_sequence(4, 24)`` with Gaussian coefficients, on [0, 1)
     minus one gap and on the gap, three draws came within 2e-16 relative
-    of a 40-digit reference.
+    of a 40-digit reference.  A t - s past the float range raises
+    ``ResourceError``.
 
     Walsh polynomials integrate their piecewise-constant cells against
     exact cell/E overlaps, with the whole cells of each interval summed

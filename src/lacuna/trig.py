@@ -8,6 +8,7 @@ projection factor, and Walsh-sign decoration of chaos sums.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,11 +95,16 @@ class GridEvaluation:
         return j / self.size
 
 
+def _as_oversample(oversample) -> int:
+    """The grid oversampling factor, an integer >= 4 (below 4 risks aliasing)."""
+    if not isinstance(oversample, numbers.Integral) or oversample < 4:
+        raise InvalidInputError("oversample must be an integer >= 4")
+    return int(oversample)
+
+
 def _grid_size(degree: int, oversample: int) -> int:
     """Points of the quadrature grid for a polynomial of the given degree."""
-    if oversample < 4:
-        raise InvalidInputError("oversample must be >= 4")
-    return oversample * (2 * degree + 1)
+    return _as_oversample(oversample) * (2 * degree + 1)
 
 
 def _next_smooth(n: int) -> int:

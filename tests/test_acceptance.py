@@ -10,7 +10,6 @@ certified bounds and bitwise reruns.  Runtime ceilings are asserted.
 import itertools
 import json
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -419,23 +418,21 @@ def test_acceptance_10_determinism(tmp_path, capsys):
             ],
             ["blowup", "--l", "2", "--p", "4", "--degree-list", "1,3", "--seed", "2"],
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for i, argv in enumerate(cases):
-                a = tmp_path / f"case{i}_a.json"
-                b = tmp_path / f"case{i}_b.json"
-                assert cli_main(argv + ["--output", str(a)]) == 0
-                assert cli_main(argv + ["--output", str(b)]) == 0
-                capsys.readouterr()
-                assert a.read_bytes() == b.read_bytes(), argv[0]
-                assert json.loads(a.read_text())["schema_version"] == "1"
+        for i, argv in enumerate(cases):
+            a = tmp_path / f"case{i}_a.json"
+            b = tmp_path / f"case{i}_b.json"
+            assert cli_main(argv + ["--output", str(a)]) == 0
+            assert cli_main(argv + ["--output", str(b)]) == 0
+            capsys.readouterr()
+            assert a.read_bytes() == b.read_bytes(), argv[0]
+            assert json.loads(a.read_text())["schema_version"] == "1"
 
-            iset = enumerate_index_set(dyadic_sequence(6), 2, "dyadic")
-            cfg = ExtremalConfig(restarts=3, max_iter=25, seed=5)
-            r1 = maximize_ratio(iset, 4.0, cfg)
-            r2 = maximize_ratio(iset, 4.0, cfg)
-            assert r1.to_json_dict() == r2.to_json_dict()
+        iset = enumerate_index_set(dyadic_sequence(6), 2, "dyadic")
+        cfg = ExtremalConfig(restarts=3, max_iter=25, seed=5)
+        r1 = maximize_ratio(iset, 4.0, cfg)
+        r2 = maximize_ratio(iset, 4.0, cfg)
+        assert r1.to_json_dict() == r2.to_json_dict()
 
-            b1 = blowup_probe(2, 4.0, [1, 3], seed=2)
-            b2 = blowup_probe(2, 4.0, [1, 3], seed=2)
-            assert b1.to_json_dict() == b2.to_json_dict()
+        b1 = blowup_probe(2, 4.0, [1, 3], seed=2)
+        b2 = blowup_probe(2, 4.0, [1, 3], seed=2)
+        assert b1.to_json_dict() == b2.to_json_dict()

@@ -304,6 +304,9 @@ def test_malformed_input_file_is_2_with_payload(capsys, tmp_path, argv, data):
     assert json.loads(err)["error"]
 
 
+# a trig key past the float range
+BIG_KEY_POLY = {"coefficients": [{"freq": 10**400, "re": 1.0}, {"freq": 1, "re": 1.0}]}
+
 _INVERSE_TRIG = [
     "inverse-check", "--kind", "trig", "--set", "0/1:63/64",
     "--terms", "4,16,64,256", "--lam", "3",
@@ -359,6 +362,14 @@ _INVERSE_TRIG = [
         pytest.param(
             ["project", "--m", "4", "--freqs", "4,4"], None,
             "invalid-input", id="project-freq-repeated",
+        ),
+        pytest.param(
+            ["energy", "--kind", "trig", "--set", "0/1:1/3", "--poly"], BIG_KEY_POLY,
+            "resource-limit", id="energy-key-10^400",
+        ),
+        pytest.param(
+            ["norm", "--kind", "trig", "--p", "4", "--poly"], BIG_KEY_POLY,
+            "resource-limit", id="norm-key-10^400",
         ),
     ],
 )
@@ -592,7 +603,6 @@ def test_extremal_report(capsys):
     assert body["kind"] == "walsh"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_csv(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -20,20 +20,23 @@ from lacuna import (
     InvalidOrderError,
     InvalidSupportError,
     ResourceError,
+    SignedRepresentation,
     TrigPolynomial,
     UndefinedGradientError,
     WalshPolynomial,
     blowup_probe,
+    counterexample_sequence,
     enumerate_index_set,
     geometric_sequence,
     growth_exponent,
     khintchine_ratio,
     maximize_ratio,
-    near_critical_sequence,
     ratio_gradient,
+    representations,
     trig_family,
     walsh_family,
 )
+from lacuna import extremal
 from lacuna.extremal import RunSummary
 
 EPS_REG = 1e-14
@@ -401,49 +404,74 @@ def test_growth_slope_tracks_probe_for_symmetric_family():
         assert ratio <= (p - 1) ** 1.0 + 1e-9
 
 
-# --- near-critical probes -------------------------------------------------
+# --- blowup probe ----------------------------------------------------------
 
 
-def test_near_critical_sequence_is_valid():
-    seq = near_critical_sequence(2, 10)
-    assert len(seq.terms) == 10
-    assert seq.terms[0] == 9
-    for a, b in zip(seq.terms, seq.terms[1:]):
-        assert b > a
+def _searched_supports(monkeypatch, *args):
+    """Run blowup_probe(*args) and return each support it searches, the
+    critical one first at every budget."""
+    supports = []
+    search = extremal._maximize_over_values
+
+    def spy(values, *rest):
+        supports.append(list(values))
+        return search(values, *rest)
+
+    monkeypatch.setattr(extremal, "_maximize_over_values", spy)
+    blowup_probe(*args)
+    return supports
 
 
-def test_near_critical_validation():
-    with pytest.raises(InvalidOrderError):
-        near_critical_sequence(1, 5)
-    with pytest.raises(InvalidInputError):
-        near_critical_sequence(2, 0)
+@pytest.mark.parametrize("l", [2, 3])
+def test_blowup_critical_frequencies_are_certified_signed_sums(monkeypatch, l):
+    """The critical side searches the b smallest of +-m, m >= 3^l, and each
+    is the construction's witness, an order-l signed sum of its terms."""
+    top = 15
+    critical = _searched_supports(monkeypatch, l, 4.0, [4, top])[-2]
+    seq, cover = counterexample_sequence(l, 3**l + (top + 1) // 2 - 1)
+    assert sorted(map(abs, critical)) == [3**l + i // 2 for i in range(top)]
+    assert len(set(critical)) == top
+    for v in critical:
+        witness = cover["witnesses"][abs(v)]
+        sign = 1 if v > 0 else -1
+        signs = [sign * s for s in witness["signs"]]
+        rep = SignedRepresentation.build(seq.terms, witness["indices"], signs)
+        assert rep.value == v and rep.order == l
+        assert rep in representations(seq, v, l)
+
+
+def test_blowup_critical_slope_exceeds_control_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = blowup_probe(2, 4.0, [8, 16, 32, 64], seed=0)
+    assert report.slope_critical > report.slope_control
+    assert report.critical_nondecreasing
+
+
+def test_blowup_control_grid_cap_before_any_search(monkeypatch):
+    """At l = 2 the 300 smallest control sums need a grid of 2.56e7 points."""
+
+    def search(*args):
+        raise AssertionError("a search ran before the grid cap was checked")
+
+    monkeypatch.setattr(extremal, "_maximize_over_values", search)
+    with pytest.raises(ResourceError, match="2\\^24"):
+        blowup_probe(2, 4.0, [8, 300], seed=0)
 
 
 def test_blowup_single_budget():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = blowup_probe(2, 4.0, [1], seed=0)
+    report = blowup_probe(2, 4.0, [1], seed=0)
     assert len(report.rows) == 1
     assert report.rows[0].budget == 1
     assert report.rows[0].ratio_critical == 1.0
     assert report.rows[0].ratio_control == 1.0
     assert report.critical_nondecreasing
-
-
-def test_blowup_degrades_with_warning():
-    """The exact threshold construction lives at astronomically large
-    frequencies, so the probe must fall back to the scaled stand-in and
-    say so."""
-    with pytest.warns(RuntimeWarning):
-        report = blowup_probe(2, 4.0, [1, 4], seed=0)
-    assert report.degraded
+    assert report.slope_critical is None and report.slope_control is None
 
 
 def test_blowup_deterministic_and_monotone_budgets():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        a = blowup_probe(2, 4.0, [2, 4, 6], seed=3)
-        b = blowup_probe(2, 4.0, [2, 4, 6], seed=3)
+    a = blowup_probe(2, 4.0, [2, 4, 6], seed=3)
+    b = blowup_probe(2, 4.0, [2, 4, 6], seed=3)
     assert a.to_json_dict() == b.to_json_dict()
     assert [r.budget for r in a.rows] == [2, 4, 6]
     # growing budgets can only widen the feasible set for the search

@@ -1,10 +1,12 @@
 """Input-domain tests: every public entry point refuses a bad exponent,
-order, key, frequency list, bound d, search seed or blowup budget with a
-typed error, and the accepted key forms keep working.
+order, key, frequency list, bound d, search setting, blowup budget or a
+trig key past the float range with a typed error, and the accepted key
+forms keep working.
 
 Each rule lives in one helper (``lacunary._as_exponent``, ``_as_order``,
-``_as_key``, ``trig._as_frequencies`` and ``inverse._alpha_threshold_exact``),
-so these cases pin the helpers through the functions that call them.
+``_as_key``, ``trig._as_frequencies``, ``trig._as_oversample``,
+``measure._as_float`` and ``inverse._alpha_threshold_exact``), so these
+cases pin the helpers through the functions that call them.
 """
 
 import math
@@ -18,21 +20,25 @@ from lacuna import (
     IntervalSet,
     InvalidInputError,
     InvalidOrderError,
+    ResourceError,
     TrigContext,
     TrigPolynomial,
     WalshContext,
     WalshPolynomial,
     blowup_probe,
     build_summation_matrix,
+    energy_on_set,
     enumerate_index_set,
     geometric_sequence,
     growth_exponent,
+    interval_fourier,
     inverse_parseval_check,
     lp_norm_trig,
     lp_norm_walsh,
     maximize_ratio,
     modulation_projection,
     ratio_gradient,
+    trig_family,
     walsh_family,
 )
 
@@ -40,6 +46,7 @@ SEQ = geometric_sequence(4, 4)
 TRIG = TrigPolynomial({20: 1.0, 68: 0.5})
 WALSH = WalshPolynomial({6: 1.0, 10: -0.5})
 FULL = IntervalSet.full()
+THIRD = IntervalSet.parse("0/1:1/3")
 
 
 def _trig_check(order, d):
@@ -125,6 +132,32 @@ BAD_INPUTS = [
     pytest.param(lambda: blowup_probe(2, 4, [2], seed=-1), InvalidInputError, id="blowup-seed-minus-1"),
     pytest.param(lambda: blowup_probe(2, 4, [2.7]), InvalidInputError, id="blowup-budget-2.7"),
     pytest.param(lambda: blowup_probe(2, 4, ["4"]), InvalidInputError, id="blowup-budget-string-4"),
+    *(
+        pytest.param(
+            lambda kw={"restarts": 2, name: value}: maximize_ratio(
+                trig_family(SEQ, 1), 4, ExtremalConfig(**kw)
+            ),
+            InvalidInputError,
+            id=f"extremal-{name}-{value}",
+        )
+        for name, value in (("restarts", 2.5), ("max_iter", 2.5), ("oversample", 8.5))
+    ),
+    pytest.param(
+        lambda: lp_norm_trig(TRIG, 3, oversample=8.5), InvalidInputError, id="lp-oversample-8.5"
+    ),
+    pytest.param(
+        lambda: energy_on_set(TrigPolynomial({10**400: 1.0, 1: 1.0}), THIRD),
+        ResourceError,
+        id="energy-key-10^400",
+    ),
+    pytest.param(
+        lambda: energy_on_set(TrigPolynomial({2**1023: 1.0, -(2**1023): 1.0}), THIRD),
+        ResourceError,
+        id="energy-key-difference-2^1024",
+    ),
+    pytest.param(
+        lambda: interval_fourier(THIRD, 10**400), ResourceError, id="interval-fourier-10^400"
+    ),
 ]
 
 
