@@ -1,11 +1,13 @@
 """Integer combinatorics of lacunary sequences.
 
 Critical growth ratios, signed l-wise sum index sets, representation
-counting, head partitions, and a near-critical sequence builder whose
-signed sums cover a full integer range.
+counting, head partitions, and the critical counterexample construction
+whose order-l signed sums cover a full integer range.
 
 All rational comparisons (lacunarity witnesses, head-block bounds) are
-exact: ratios are handled with `fractions.Fraction`, never floats.
+exact: ratios are handled with `fractions.Fraction`, never floats, and
+head containment a*n < |m| < b*n is checked on cross-multiplied
+integers.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -201,13 +204,14 @@ def dyadic_sequence(max_exponent: int) -> LacunarySequence:
     return LacunarySequence(tuple(2**k for k in range(1, max_exponent + 1)), Fraction(1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedRepresentation:
     """One signed sum eps_1*n_{k_1} + ... + eps_s*n_{k_s}.
 
     ``indices`` are strictly decreasing 0-based positions into the
     parent sequence; ``head`` is the signed leading term
-    ``signs[0] * terms[indices[0]]``.
+    ``signs[0] * terms[indices[0]]``.  Instances carry four slots and
+    no ``__dict__``.
     """
 
     indices: tuple[int, ...]
@@ -228,6 +232,17 @@ class SignedRepresentation:
     @property
     def order(self) -> int:
         return len(self.indices)
+
+    @classmethod
+    def _trusted(cls, indices, signs, value, head) -> "SignedRepresentation":
+        """The enumerators' constructor: fields they have just built
+        correctly, set without the re-check."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "indices", indices)
+        object.__setattr__(rep, "signs", signs)
+        object.__setattr__(rep, "value", value)
+        object.__setattr__(rep, "head", head)
+        return rep
 
     @classmethod
     def build(cls, terms, indices, signs) -> "SignedRepresentation":
@@ -336,15 +351,25 @@ def enumerate_index_set(
         _require_dyadic_ladder(seq)
     sign_choices = (1, -1) if base == "signed" else (1,)
     orders = range(1, l + 1) if star else (l,)
+    trusted = SignedRepresentation._trusted
     collected: dict[int, list[SignedRepresentation]] = {}
     for s in orders:
+        sign_tuples = tuple(itertools.product(sign_choices, repeat=s))
         for combo in itertools.combinations(range(len(terms)), s):
             indices = combo[::-1]
-            for signs in itertools.product(sign_choices, repeat=s):
-                rep = SignedRepresentation.build(terms, indices, signs)
-                collected.setdefault(rep.value, []).append(rep)
+            picked = [terms[i] for i in indices]
+            lead = picked[0]
+            for signs in sign_tuples:
+                value = sum(map(operator.mul, signs, picked))
+                rep = trusted(indices, signs, value, signs[0] * lead)
+                reps = collected.get(value)
+                if reps is None:
+                    collected[value] = [rep]
+                else:
+                    reps.append(rep)
     entries = {
-        v: tuple(sorted(reps, key=_REP_SORT_KEY)) for v, reps in collected.items()
+        v: tuple(sorted(reps, key=_REP_SORT_KEY) if len(reps) > 1 else reps)
+        for v, reps in collected.items()
     }
     return ChaosIndexSet(variant=variant, order=l, sequence=seq, entries=entries)
 
@@ -403,11 +428,13 @@ def representations(
     if base == "dyadic":
         _require_dyadic_ladder(seq)
     terms = seq.terms
-    found = [
-        SignedRepresentation.build(terms, *zip(*chosen))
-        for chosen in _signed_walk(terms, m, l, l, l if base == "signed" else 0)
-        if chosen
-    ]
+    found = []
+    for chosen in _signed_walk(terms, m, l, l, l if base == "signed" else 0):
+        if chosen:
+            indices, signs = zip(*chosen)
+            value = sum(s * terms[i] for i, s in chosen)
+            head = signs[0] * terms[indices[0]]
+            found.append(SignedRepresentation._trusted(indices, signs, value, head))
     return sorted(found, key=_REP_SORT_KEY)
 
 
@@ -509,8 +536,12 @@ def head_partition(index_set: ChaosIndexSet) -> HeadPartitionReport:
     Values are assigned to the block of their canonical (first, in the
     deterministic enumeration order) representation; the two-sided
     containment is then asserted for EVERY representation, so the
-    report certifies the full head-dominance property.  Values whose
-    representations disagree on the head are listed as ambiguous.
+    report certifies the full head-dominance property.  ``a`` and ``b``
+    are split once into numerators and denominators, and each
+    representation is checked on cross-multiplied integers
+    (a_n*lead < a_d*|m| and b_d*|m| < b_n*lead), with no `Fraction`
+    arithmetic.  Values whose representations disagree on the head are
+    listed as ambiguous.
 
     Raises ``PreconditionError`` when the sequence witness does not
     exceed the critical ratio for the set's order (the lower bound
@@ -524,24 +555,28 @@ def head_partition(index_set: ChaosIndexSet) -> HeadPartitionReport:
             f"witness {seq.lam} is at or below the order-{l} critical ratio; "
             "head blocks are not separated"
         )
+    # a*lead < |v| < b*lead, cross-multiplied once into integers
+    a_n, a_d = a.numerator, a.denominator
+    b_n, b_d = b.numerator, b.denominator
+    terms = seq.terms
+    entries = index_set.entries
     blocks: dict[int, list[int]] = {}
     ambiguous: list[int] = []
     violations: list[int] = []
     for value in index_set.values():
-        reps = index_set.entries[value]
-        keys = {r.signs[0] * (r.indices[0] + 1) for r in reps}
-        if len(keys) > 1:
-            ambiguous.append(value)
+        reps = entries[value]
         canonical = reps[0]
-        blocks.setdefault(canonical.signs[0] * (canonical.indices[0] + 1), []).append(
-            value
-        )
+        key = canonical.signs[0] * (canonical.indices[0] + 1)
+        if any(r.signs[0] * (r.indices[0] + 1) != key for r in reps):
+            ambiguous.append(value)
+        blocks.setdefault(key, []).append(value)
+        mag = abs(value)
         for r in reps:
-            lead = seq.terms[r.indices[0]]
+            lead = terms[r.indices[0]]
             if l == 1:
-                ok = abs(value) == lead
+                ok = mag == lead
             else:
-                ok = a * lead < abs(value) < b * lead
+                ok = a_n * lead < a_d * mag and b_d * mag < b_n * lead
             if not ok:
                 violations.append(value)
     return HeadPartitionReport(

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, ResourceError
-from .lacunary import _as_fraction
+from .lacunary import _as_fraction, _as_key
 from .trig import TrigPolynomial
 from .walsh import WalshPolynomial
 
@@ -178,9 +178,11 @@ def interval_fourier(E: IntervalSet, k: int) -> complex:
     """Exact closed form of the integral of e^{2 pi i k x} over E.
 
     For k == 0 this is the measure.  Phases are reduced modulo 1 in
-    exact integer arithmetic (`_turns`) before exponentiation.  A k past
-    the float range raises ``ResourceError``.
+    exact integer arithmetic (`_turns`) before exponentiation.  k is
+    taken as an integer key (`_as_key`), and a k past the float range
+    raises ``ResourceError``.
     """
+    k = _as_key(k)
     if k == 0:
         return complex(float(E.measure), 0.0)
     total = 0j
@@ -217,7 +219,8 @@ def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
         phi = np.where(
             diagonal,
             measure,
-            (signed[rows] @ conj_t) / (2j * np.pi * np.where(diagonal, 1.0, d)),
+            # by d first: 2 pi d overflows for d near the float limit
+            (signed[rows] @ conj_t) / np.where(diagonal, 1.0, d) / (2j * np.pi),
         )
         total += c[rows] @ phi @ c.conj()
     return float(total.real)

@@ -158,6 +158,9 @@ BAD_INPUTS = [
     pytest.param(
         lambda: interval_fourier(THIRD, 10**400), ResourceError, id="interval-fourier-10^400"
     ),
+    pytest.param(
+        lambda: interval_fourier(THIRD, 10.5), InvalidInputError, id="interval-fourier-10.5"
+    ),
 ]
 
 
@@ -182,3 +185,7 @@ def test_integer_keys_keep_their_accepted_forms():
     data = {"coefficients": [{"freq": "20", "re": 1.0}]}
     assert TrigPolynomial.from_json_dict(data).coefficients == {20: 1.0 + 0j}
     assert modulation_projection(20.0, [4, 16]) == modulation_projection(20, [4, 16])
+    # a numpy int past 2^62 is widened, not wrapped in the phase reduction
+    middle = IntervalSet.parse("1/3:2/3")
+    k = 2**62 + 1
+    assert interval_fourier(middle, np.int64(k)) == interval_fourier(middle, k)

@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from lacuna import (
+    ChaosIndexSet,
     InsufficientTermsError,
     InvalidInputError,
     InvalidOrderError,
@@ -21,6 +22,7 @@ from lacuna import (
     LacunarySequence,
     PreconditionError,
     ResourceError,
+    SignedRepresentation,
     counterexample_sequence,
     critical_lambda,
     critical_lambda_bracket,
@@ -34,6 +36,7 @@ from lacuna import (
     representations,
     validate_lacunary,
 )
+from lacuna.lacunary import VARIANTS
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -184,6 +187,46 @@ def test_enumerate_insufficient_terms():
         enumerate_index_set(seq, 4, "signed")
     with pytest.raises(InvalidInputError):
         enumerate_index_set(seq, 2, "no-such-variant")
+
+
+@pytest.mark.parametrize(
+    "indices, signs",
+    [
+        ((), ()),
+        ((2, 1), (1,)),
+        ((2, 1), (1, 2)),
+        ((1, 1), (1, -1)),
+        ((1, 2), (1, -1)),
+    ],
+    ids=["empty", "length-mismatch", "sign-2", "repeated-index", "increasing-indices"],
+)
+def test_public_representation_constructor_still_checks(indices, signs):
+    with pytest.raises(InvalidInputError):
+        SignedRepresentation(indices, signs, 0, 0)
+
+
+def test_representations_have_slots_and_no_dict():
+    rep = enumerate_index_set(geometric_sequence(4, 3), 2).entries[12][0]
+    assert not hasattr(rep, "__dict__")
+    with pytest.raises(AttributeError):
+        rep.value = 13
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_enumerated_representations_equal_the_checked_build(variant):
+    if variant.startswith("dyadic"):
+        seq = dyadic_sequence(6)  # sums of distinct powers of two are unique
+    else:
+        # close terms, so many values have several representations to sort
+        seq = LacunarySequence(range(1, 9), lam=Fraction(1, 2))
+    iset = enumerate_index_set(seq, 3, variant)
+    if not variant.startswith("dyadic"):
+        assert any(len(reps) > 1 for reps in iset.entries.values())
+    for m, reps in iset.entries.items():
+        for r in reps:
+            assert r == SignedRepresentation.build(seq.terms, r.indices, r.signs)
+            assert r.value == m
+        assert list(reps) == sorted(reps, key=lambda r: (r.order, r.indices, r.signs))
 
 
 # --- representations ------------------------------------------------------
@@ -337,6 +380,19 @@ def test_head_partition_order_one_equality():
     for j, members in report.blocks.items():
         for m in members:
             assert abs(m) == seq.terms[abs(j) - 1]
+
+
+def test_head_partition_bounds_are_strict():
+    # lam = 2 at order 2 gives a = 1/2 and b = 3/2; lead 16 makes the
+    # bounds 8 and 24, which are outside, and 9 inside
+    seq = LacunarySequence((4, 16, 64), lam=2)
+    lead_16 = {m: (SignedRepresentation((1, 0), (1, 1), m, 16),) for m in (8, 9, 24)}
+    iset = ChaosIndexSet(variant="signed", order=2, sequence=seq, entries=lead_16)
+    report = head_partition(iset)
+    assert (report.a, report.b) == (Fraction(1, 2), Fraction(3, 2))
+    assert report.violations == (8, 24)
+    assert not report.containment_ok
+    assert report.blocks == {2: (8, 9, 24)}
 
 
 def test_head_partition_rejects_subcritical():

@@ -320,6 +320,12 @@ def test_trig_energy_across_row_blocks_on_the_276_pair_sums():
     assert total == pytest.approx(poly.mass, abs=1e-10)
 
 
+def test_trig_energy_near_the_float_limit_without_overflow():
+    # t - s = 2^1022 - 1 is in range, but 2 pi (t - s) is not
+    poly = TrigPolynomial({2**1022: 1.0, 1: 1.0})
+    assert energy_on_set(poly, IntervalSet.parse("0/1:1/3")) == pytest.approx(2 / 3, abs=1e-12)
+
+
 def test_energy_is_a_python_float():
     E = IntervalSet([(Fraction(1, 4), Fraction(2, 3))])
     for poly in (

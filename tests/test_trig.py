@@ -345,7 +345,15 @@ def test_riesz_validation():
     with pytest.raises(InvalidInputError):
         riesz_product([4, 16], [1, 2])
     with pytest.raises(ResourceError):
+        riesz_product([4**k for k in range(1, 14)], [1] * 13)
+    with pytest.raises(ResourceError):
         riesz_product([4**k for k in range(1, 22)], [1] * 21)
+
+
+def test_riesz_cap_admits_twelve_factors(monkeypatch):
+    # the 3**12-term expansion itself takes seconds, so stop at its call
+    monkeypatch.setattr("lacuna.trig._expand_product", lambda freqs, weights, keep: len(freqs))
+    assert riesz_product([4**k for k in range(1, 13)], [1] * 12) == 12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0, True, Fraction(1), "1"])
