@@ -83,24 +83,22 @@ def _config_failure(message: str) -> _CliFailure:
     return _CliFailure(65, {"error": "malformed-config", "message": message})
 
 
-def _int_csv(text: str) -> str:
-    # stored as the raw string so the resolved config stays primitive;
-    # parsed on use by _parse_int_list
-    [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    return text
+def _parse_list(text: str, cast=int) -> list:
+    return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _parse_int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _list_flag(cast):
+    """The type of a comma-separated flag: parses the list to check it and
+    keeps the raw string, so the resolved config stays primitive."""
+
+    def csv(text: str) -> str:  # argparse names it in errors
+        _parse_list(text, cast)
+        return text
+
+    return csv
 
 
-def _float_csv(text: str) -> str:
-    [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    return text
-
-
-def _parse_float_list(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+_INT_LIST, _FLOAT_LIST = _list_flag(int), _list_flag(float)
 
 
 def _load_json_file(path: str) -> dict:
@@ -211,7 +209,7 @@ _KIND = _flag("--kind", type=str, required=True, choices=("trig", "walsh"))
 _SET = _flag("--set", type=str, required=True)
 _VARIANT = _flag("--variant", type=str, default="signed")
 _SEQUENCE = (
-    _flag("--terms", type=_int_csv, default=None, help="comma-separated terms"),
+    _flag("--terms", type=_INT_LIST, default=None, help="comma-separated terms"),
     _flag("--lam", type=str, default=None, help="lacunarity witness, e.g. 3/2"),
     _flag("--ratio", type=int, default=None, help="geometric base instead of terms"),
     _flag("--length", type=int, default=None, help="geometric length"),
@@ -238,7 +236,7 @@ _SEARCH = (
 
 def _sequence_from_args(args) -> LacunarySequence:
     if args.terms is not None:
-        terms = tuple(_parse_int_list(args.terms))
+        terms = tuple(_parse_list(args.terms))
         if args.lam is None:
             raise InvalidInputError("--terms needs --lam (exact rational witness)")
         return LacunarySequence(terms, lam=Fraction(args.lam))
@@ -278,11 +276,11 @@ def _run_lambda(args):
 
 @_command(
     "validate",
-    _flag("--terms", type=_int_csv, required=True),
+    _flag("--terms", type=_INT_LIST, required=True),
     _flag("--lam", type=str, required=True),
 )
 def _run_validate(args):
-    report = validate_lacunary(_parse_int_list(args.terms), Fraction(args.lam))
+    report = validate_lacunary(_parse_list(args.terms), Fraction(args.lam))
     violation = report["first_violation"]
     if violation is not None:
         violation = {"index": violation["index"], "pair": list(violation["pair"])}
@@ -338,12 +336,12 @@ def _run_walsh_shift(args):
 @_command(
     "find-alpha",
     _flag("--set", type=str, required=True, help="e.g. 0/1:15/16"),
-    _flag("--exponents", type=_int_csv, required=True),
+    _flag("--exponents", type=_INT_LIST, required=True),
     scalar=True,
 )
 def _run_find_alpha(args):
     E = IntervalSet.parse(args.set)
-    point = find_alpha(E, tuple(_parse_int_list(args.exponents)))
+    point = find_alpha(E, tuple(_parse_list(args.exponents)))
     return "absent" if point is None else point.as_fraction()
 
 
@@ -378,22 +376,22 @@ def _run_ratio(args):
 
 @_command(
     "riesz",
-    _flag("--freqs", type=_int_csv, required=True),
-    _flag("--signs", type=_int_csv, default=None),
+    _flag("--freqs", type=_INT_LIST, required=True),
+    _flag("--signs", type=_INT_LIST, default=None),
 )
 def _run_riesz(args):
-    freqs = tuple(_parse_int_list(args.freqs))
+    freqs = tuple(_parse_list(args.freqs))
     signs = (
-        tuple(_parse_int_list(args.signs))
+        tuple(_parse_list(args.signs))
         if args.signs is not None
         else tuple(1 for _ in freqs)
     )
     return riesz_product(freqs, signs).to_json_dict()
 
 
-@_command("project", _M, _flag("--freqs", type=_int_csv, required=True), scalar=True)
+@_command("project", _M, _flag("--freqs", type=_INT_LIST, required=True), scalar=True)
 def _run_project(args):
-    return modulation_projection(args.m, tuple(_parse_int_list(args.freqs)))
+    return modulation_projection(args.m, tuple(_parse_list(args.freqs)))
 
 
 @_command("energy", _POLY, _KIND, _SET, scalar=True)
@@ -412,7 +410,7 @@ def _run_inverse_check(args):
 
 
 def _matrix_from_args(args, coeffs):
-    order = sorted(coeffs) if args.order is None else _parse_int_list(args.order)
+    order = sorted(coeffs) if args.order is None else _parse_list(args.order)
     data = {}
     if args.matrix_kind != "prefix-of-rearrangement":
         if args.matrix_file is None:
@@ -438,7 +436,7 @@ def _matrix_from_args(args, coeffs):
         default="prefix-of-rearrangement",
         choices=("prefix-of-rearrangement", "nested-sets", "custom"),
     ),
-    _flag("--order", type=_int_csv, default=None, help="prefix column order"),
+    _flag("--order", type=_INT_LIST, default=None, help="prefix column order"),
     _flag("--matrix-file", type=str, default=None, help="sets/rows JSON file"),
     _flag("--bound", type=float, default=1.0),
     _flag("--n-max", type=int, default=None),
@@ -473,14 +471,14 @@ def _run_extremal(args):
 @_command(
     "growth",
     *_FAMILY,
-    _flag("--p-list", type=_float_csv, required=True),
+    _flag("--p-list", type=_FLOAT_LIST, required=True),
     *_SEARCH,
     formats=("json", "csv"),
 )
 def _run_growth(args):
     report = growth_exponent(
         _family_from_args(args),
-        _parse_float_list(args.p_list),
+        _parse_list(args.p_list, float),
         _extremal_config(args),
     )
     if args.format == "csv":
@@ -492,13 +490,13 @@ def _run_growth(args):
     "blowup",
     _L,
     _P,
-    _flag("--degree-list", type=_int_csv, required=True),
+    _flag("--degree-list", type=_INT_LIST, required=True),
     _flag("--seed", type=int, default=0),
     formats=("json", "csv"),
 )
 def _run_blowup(args):
     report = blowup_probe(
-        args.l, args.p, _parse_int_list(args.degree_list), seed=args.seed
+        args.l, args.p, _parse_list(args.degree_list), seed=args.seed
     )
     if args.format == "csv":
         rows = [[r.budget, r.ratio_critical, r.ratio_control] for r in report.rows]

@@ -10,7 +10,6 @@ control.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from .lacunary import (
     ChaosIndexSet,
     LacunarySequence,
     _as_exponent,
+    _as_int,
     _as_order,
     counterexample_sequence,
     dyadic_sequence,
@@ -46,8 +46,9 @@ SMALL_GAIN = 1e-10
 
 @dataclass(frozen=True)
 class ExtremalConfig:
-    """Search settings.  ``oversample`` sizes the trig search grid: the
-    smallest 5-smooth size at or above oversample * (2 * degree + 1)."""
+    """Search settings, checked on construction.  ``oversample`` sizes the
+    trig search grid: the smallest 5-smooth size at or above
+    oversample * (2 * degree + 1)."""
 
     restarts: int = 3
     max_iter: int = 150
@@ -55,15 +56,12 @@ class ExtremalConfig:
     seed: int = 0
     oversample: int = 8
 
-    def validate(self) -> None:
-        counts = (self.restarts, self.max_iter)
-        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in counts):
-            raise InvalidInputError("restarts and max_iter must be positive integers")
+    def __post_init__(self) -> None:
+        for name, least in (("restarts", 1), ("max_iter", 1), ("seed", 0)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), least, name))
         if not self.step > 0:
             raise InvalidInputError("step must be positive")
-        _as_oversample(self.oversample)
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidInputError("seed must be a non-negative integer")
+        object.__setattr__(self, "oversample", _as_oversample(self.oversample))
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -127,12 +125,9 @@ class ChaosFamily:
 
     def index_set(self) -> ChaosIndexSet:
         if self.kind == "walsh":
-            if self.exponent_budget is None or self.exponent_budget < self.order:
-                raise InvalidInputError(
-                    "exponent budget must cover at least the chaos order"
-                )
-            seq = dyadic_sequence(self.exponent_budget)
-            return enumerate_index_set(seq, self.order, "dyadic")
+            order = _as_order(self.order, 1)
+            budget = _as_int(self.exponent_budget, order, "exponent budget")
+            return enumerate_index_set(dyadic_sequence(budget), order, "dyadic")
         if self.kind == "trig":
             if self.sequence is None:
                 raise InvalidInputError("trig family needs a sequence")
@@ -339,7 +334,6 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     p = _as_exponent(p, search=True)
     index_set = _index_set(index_set)
     config = config or ExtremalConfig()
-    config.validate()
     result, _ = _maximize_over_values(
         index_set.values(), index_set.is_dyadic, p, config
     )
@@ -397,7 +391,6 @@ def growth_exponent(
     if len(p_list) < 4:
         raise InvalidInputError("need at least 4 exponents for a slope fit")
     config = config or ExtremalConfig()
-    config.validate()
     index_set = _index_set(family)
     values = index_set.values()
     used_p = []
@@ -488,14 +481,10 @@ def blowup_probe(
     """
     l = _as_order(l)
     p = _as_exponent(p, search=True)
-    budgets = list(degree_list)
-    if not budgets or not all(
-        isinstance(b, numbers.Integral) and b >= 1 for b in budgets
-    ):
-        raise InvalidInputError("degree budgets must be positive integers")
-    budgets = sorted(set(int(b) for b in budgets))
+    budgets = sorted({_as_int(b, 1, "degree budget") for b in degree_list})
+    if not budgets:
+        raise InvalidInputError("need at least one degree budget")
     config = ExtremalConfig(restarts=2, max_iter=80, seed=seed)
-    config.validate()
     top = budgets[-1]
     control = _budget_values(geometric_sequence(3, 4 * l + 16), l, top)
     # check the control grid's cap before any search; the critical degree

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .lacunary import (
     LacunarySequence,
+    _as_int,
     _as_key,
     _as_order,
     _head_bounds,
@@ -41,8 +42,7 @@ def alpha_threshold(l: int, d: int) -> float:
 
 def _alpha_threshold_exact(l: int, d: int) -> Fraction:
     """1 - 1/(d * 2**(l+1)) for a checked order l, once d is an integer >= 1."""
-    if not isinstance(d, int) or d < 1:
-        raise InvalidInputError("representation bound d must be a positive integer")
+    d = _as_int(d, 1, "representation bound d")
     return 1 - Fraction(1, d * 2 ** (l + 1))
 
 
@@ -312,17 +312,17 @@ def inverse_bound_experiment(
     hypothesis fails the rows are still produced but the report is
     flagged "not met" rather than failed.  ``implied_mass_bound`` is the
     converse reading: masked mass is at most energy / c, so vanishing
-    energies force vanishing coefficients.
+    energies force vanishing coefficients.  ``n_max``, an integer >= 1,
+    stops the replay after that many rows.
     """
     if not isinstance(context, _CONTEXTS):
         raise InvalidInputError("context must be TrigContext or WalshContext")
     threshold, margin, _ = context._bound(context.polynomial(coeffs))
     lower_constant = float(E.measure) - margin
     hypothesis_met = E.measure > threshold
-    count = len(matrix.rows) if n_max is None else min(n_max, len(matrix.rows))
+    rows = matrix.rows if n_max is None else matrix.rows[: _as_int(n_max, 1, "n_max")]
     records = []
-    for n in range(1, count + 1):
-        row = matrix.rows[n - 1]
+    for n, row in enumerate(rows, start=1):
         S_n = context.polynomial(
             {m: t * coeffs[m] for m, t in row.items() if m in coeffs and t != 0}
         )

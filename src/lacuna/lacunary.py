@@ -4,10 +4,10 @@ Critical growth ratios, signed l-wise sum index sets, representation
 counting, head partitions, and the critical counterexample construction
 whose order-l signed sums cover a full integer range.
 
-All rational comparisons (lacunarity witnesses, head-block bounds) are
-exact: ratios are handled with `fractions.Fraction`, never floats, and
-head containment a*n < |m| < b*n is checked on cross-multiplied
-integers.
+All rational comparisons are exact and never use floats: witnesses
+and head-block bounds are `fractions.Fraction`s, and both lacunarity
+(n_{k+1} / n_k > lam, by `_ratio_violation`) and head containment
+a*n < |m| < b*n are checked on cross-multiplied integers.
 """
 
 from __future__ import annotations
@@ -49,11 +49,21 @@ def _as_fraction(x) -> Fraction:
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _as_int(n, least: int, what: str, error=InvalidInputError) -> int:
+    """int(n), once n is an integer (numpy integers included) >= least;
+    a count, index or digit position, named ``what`` in the error."""
+    if type(n) is not int:
+        if not isinstance(n, numbers.Integral):
+            raise error(f"{what} must be an integer >= {least}, got {n!r}")
+        n = int(n)
+    if n < least:
+        raise error(f"{what} must be an integer >= {least}, got {n}")
+    return n
+
+
 def _as_order(l, least: int = 2) -> int:
-    """The chaos order l itself, once it is an int >= least."""
-    if not isinstance(l, int) or l < least:
-        raise InvalidOrderError(f"order must be an integer >= {least}")
-    return l
+    """The chaos order l as an int, once it is an integer >= least."""
+    return _as_int(l, least, "order", InvalidOrderError)
 
 
 def _as_exponent(p, search: bool = False):
@@ -113,8 +123,7 @@ def critical_lambda_bracket(l: int, bits: int = 64) -> tuple[Fraction, Fraction]
     must be certified.
     """
     l = _as_order(l)
-    if bits < 1:
-        raise InvalidInputError("bits must be positive")
+    bits = _as_int(bits, 1, "bits")
     if l == 2:
         return Fraction(1), Fraction(1)
     lo, hi = 1 << bits, 2 << bits  # numerators over 2^bits
@@ -125,6 +134,16 @@ def critical_lambda_bracket(l: int, bits: int = 64) -> tuple[Fraction, Fraction]
         else:
             hi = mid
     return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
+def _ratio_violation(terms, lam: Fraction) -> int | None:
+    """The first i with terms[i+1] / terms[i] <= lam, or None, for positive
+    terms; compared as terms[i+1] * lam.den <= lam.num * terms[i]."""
+    num, den = lam.numerator, lam.denominator
+    for i in range(len(terms) - 1):
+        if terms[i + 1] * den <= num * terms[i]:
+            return i
+    return None
 
 
 def validate_lacunary(terms: Iterable[int], lam) -> dict:
@@ -146,14 +165,9 @@ def validate_lacunary(terms: Iterable[int], lam) -> dict:
             raise InvalidSequenceError(
                 f"terms must be strictly increasing, got {terms[i]} then {terms[i + 1]}"
             )
-    lam = _as_fraction(lam)
-    for i in range(len(terms) - 1):
-        if Fraction(terms[i + 1], terms[i]) <= lam:
-            return {
-                "ok": False,
-                "first_violation": {"index": i, "pair": (terms[i], terms[i + 1])},
-            }
-    return {"ok": True, "first_violation": None}
+    i = _ratio_violation(terms, _as_fraction(lam))
+    violation = None if i is None else {"index": i, "pair": (terms[i], terms[i + 1])}
+    return {"ok": i is None, "first_violation": violation}
 
 
 @dataclass(frozen=True)
@@ -185,13 +199,13 @@ class LacunarySequence:
         return len(self.terms)
 
     def prefix(self, n: int) -> "LacunarySequence":
-        return LacunarySequence(self.terms[:n], self.lam)
+        return LacunarySequence(self.terms[: _as_int(n, 1, "prefix length")], self.lam)
 
 
 def geometric_sequence(ratio: int, length: int, lam=None) -> LacunarySequence:
     """Terms ratio, ratio^2, ..., ratio^length with a default witness ratio-1."""
-    if ratio < 2 or length < 1:
-        raise InvalidInputError("need ratio >= 2 and length >= 1")
+    ratio = _as_int(ratio, 2, "ratio")
+    length = _as_int(length, 1, "length")
     if lam is None:
         lam = Fraction(ratio - 1)
     return LacunarySequence(tuple(ratio**k for k in range(1, length + 1)), lam)
@@ -199,8 +213,7 @@ def geometric_sequence(ratio: int, length: int, lam=None) -> LacunarySequence:
 
 def dyadic_sequence(max_exponent: int) -> LacunarySequence:
     """Powers of two 2, 4, ..., 2**max_exponent."""
-    if max_exponent < 1:
-        raise InvalidInputError("max_exponent must be >= 1")
+    max_exponent = _as_int(max_exponent, 1, "max_exponent")
     return LacunarySequence(tuple(2**k for k in range(1, max_exponent + 1)), Fraction(1))
 
 
@@ -220,6 +233,7 @@ class SignedRepresentation:
     head: int
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", tuple(_as_int(i, 0, "index") for i in self.indices))
         if len(self.indices) != len(self.signs) or not self.indices:
             raise InvalidInputError("indices and signs must be nonempty, same length")
         if any(s not in (-1, 1) for s in self.signs):
@@ -424,6 +438,7 @@ def representations(
     since orders 1..l are always explored.
     """
     base, _ = _normalize_variant(variant)
+    m = _as_key(m)
     l = _as_order(l, 1)
     if base == "dyadic":
         _require_dyadic_ladder(seq)
@@ -457,6 +472,7 @@ def mixed_representation_count(seq: LacunarySequence, m: int, l: int) -> int:
     sequence witness does not exceed the order-(l+1) critical ratio,
     where no uniform bound is promised.
     """
+    m = _as_key(m)
     l = _as_order(l, 1)
     if _head_bounds(seq.lam, l + 1)[0] <= 0:
         warnings.warn(
@@ -601,12 +617,12 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
     The floors are certified with a dyadic rational bracket of
     lambda_l whose width is small against the floor arguments, and the
     merged sequence's lacunarity is verified pair by pair against the
-    bracket's upper end.  Returns the sequence and a coverage report.
+    bracket's upper end, which every ratio must exceed.  Returns the
+    sequence and a coverage report.
     """
     l = _as_order(l)
     lo_m = 3**l
-    if m_max < lo_m:
-        raise InvalidInputError(f"m_max must be at least 3**l = {lo_m}")
+    m_max = _as_int(m_max, lo_m, "m_max")
     if l * m_max > 3000:
         raise ResourceError(
             "terms would exceed 10**3000; shrink m_max (big integers stay exact "
@@ -641,18 +657,11 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
     merged: list[int] = []
     for m in range(lo_m, m_max + 1):
         merged.extend(groups[m])
+    # ratio > hi >= lambda_l certifies criticality (hi = lambda_2 = 1 at l = 2)
+    i = _ratio_violation(merged, hi)
     first_violation = None
-    for i in range(len(merged) - 1):
-        a, bterm = merged[i], merged[i + 1]
-        if l == 2:
-            ok = bterm > a
-        else:
-            # ratio >= hi > lambda_l certifies strict criticality
-            ok = bterm * hi.denominator >= hi.numerator * a
-        if not ok:
-            first_violation = {"index": i, "pair": (a, bterm)}
-            break
-    lacunary_ok = first_violation is None
+    if i is not None:
+        first_violation = {"index": i, "pair": (merged[i], merged[i + 1])}
 
     positions = {t: i for i, t in enumerate(merged)}
     witnesses = {}
@@ -676,7 +685,7 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
         "m_max": m_max,
         "bracket_bits": bits,
         "lambda_bracket": [str(lo), str(hi)],
-        "lacunary_ok": lacunary_ok,
+        "lacunary_ok": first_violation is None,
         "first_violation": first_violation,
         "coverage_ok": not missing,
         "missing": missing,

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, ResourceError
-from .lacunary import _as_fraction, _as_key
+from .lacunary import _as_fraction, _as_int, _as_key
 from .trig import TrigPolynomial
 from .walsh import WalshPolynomial
 
@@ -136,8 +136,7 @@ class IntervalSet:
         and only the end pieces of an interval, at most four cells, move.
         Endpoints stay rational and the measure is preserved.
         """
-        if not isinstance(k, int) or k < 1:
-            raise InvalidInputError("digit position must be a positive integer")
+        k = _as_int(k, 1, "digit position")
         step = Fraction(1, 2**k)
         out = []
         pair = 2 * step

@@ -8,7 +8,6 @@ projection factor, and Walsh-sign decoration of chaos sums.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .errors import (
     ResourceError,
     UndefinedRatioError,
 )
-from .lacunary import ChaosIndexSet, _as_exponent, _as_key
+from .lacunary import ChaosIndexSet, _as_exponent, _as_int, _as_key, _ratio_violation
 from .walsh import DyadicPoint, WalshPolynomial, _sign
 
 
@@ -97,9 +96,7 @@ class GridEvaluation:
 
 def _as_oversample(oversample) -> int:
     """The grid oversampling factor, an integer >= 4 (below 4 risks aliasing)."""
-    if not isinstance(oversample, numbers.Integral) or oversample < 4:
-        raise InvalidInputError("oversample must be an integer >= 4")
-    return int(oversample)
+    return _as_int(oversample, 4, "oversample")
 
 
 def _grid_size(degree: int, oversample: int) -> int:
@@ -217,13 +214,6 @@ def khintchine_ratio(S, p: float) -> float:
     return lp_norm(S, p) / denom
 
 
-def _check_three_lacunary(freqs: Sequence[int]) -> bool:
-    ordered = sorted(freqs)
-    return all(
-        Fraction(ordered[i + 1], ordered[i]) > 3 for i in range(len(ordered) - 1)
-    )
-
-
 def _as_frequencies(freqs: Sequence[int]) -> list[int]:
     """freqs as a list, once it is a nonempty list of distinct positive ints."""
     freqs = list(freqs)
@@ -236,15 +226,22 @@ def _as_frequencies(freqs: Sequence[int]) -> list[int]:
     return freqs
 
 
-def _expand_product(freqs: Sequence[int], weights: Sequence, keep: bool) -> TrigPolynomial:
+def _expand_product(freqs, weights, keep: bool, target=None) -> TrigPolynomial:
     """Exact expansion of prod_j (keep + 2 w_j cos(2 pi n_j x)), with the
-    bool ``keep`` as the constant term 1 or 0 of every factor."""
+    bool ``keep`` as the constant term 1 or 0 of every factor.  Given a
+    ``target``, each factor drops the keys k with |target - k| above the
+    sum of the remaining frequencies, which cannot reach the target, so
+    only the target's coefficient is complete."""
     coeffs: dict[int, Fraction] = {0: Fraction(1)}
+    reach = sum(freqs)
     for n, w in zip(freqs, weights):
+        reach -= n
         nxt = dict(coeffs) if keep else {}
         for m, c in coeffs.items():
             for mm in (m + n, m - n):
                 nxt[mm] = nxt.get(mm, Fraction(0)) + c * w
+        if target is not None:
+            nxt = {k: c for k, c in nxt.items() if abs(target - k) <= reach}
         coeffs = nxt
     return TrigPolynomial(coeffs)
 
@@ -280,7 +277,7 @@ def riesz_product(freqs: Sequence[int], signs: Sequence[int]) -> TrigPolynomial:
         raise ResourceError(
             f"expansion would carry 3**{len(freqs)} terms; shrink the factor list"
         )
-    if not _check_three_lacunary(freqs):
+    if _ratio_violation(sorted(freqs), Fraction(3)) is not None:
         raise InvalidInputError("Riesz product requires a 3-lacunary frequency list")
     return _expand_product(freqs, [Fraction(1, 2) * eps for eps in signs], keep=True)
 
@@ -294,17 +291,23 @@ def modulation_projection(m: int, freqs: Sequence[int]) -> Fraction:
     distinct positive frequencies, else 0.  The clean dichotomy relies on
     a 3-lacunary frequency list; other lists are accepted with a warning,
     and the matched (possibly accumulated) coefficient is returned as is.
+
+    Only m's coefficient is expanded: the factors go largest first, each
+    dropping the keys the rest cannot carry to m.  On a 3-lacunary list
+    one key at most survives each factor, so the cost is linear in s;
+    other lists can keep up to all 2**s keys.
     """
     m = _as_key(m)
-    freqs = list(freqs)
-    expansion = cos_product_expand(freqs)
-    if not _check_three_lacunary(freqs):
+    freqs = sorted(_as_frequencies(freqs), reverse=True)
+    if _ratio_violation(freqs[::-1], Fraction(3)) is not None:
         warnings.warn(
             "frequency list is not 3-lacunary; the projection factor may "
             "accumulate several signed combinations",
             stacklevel=2,
         )
-    return Fraction(expansion.coefficients.get(m, Fraction(0)))
+    half = [Fraction(1, 2)] * len(freqs)
+    expansion = _expand_product(freqs, half, keep=False, target=m)
+    return expansion.coefficients.get(m, Fraction(0))
 
 
 def decorate_with_walsh_signs(

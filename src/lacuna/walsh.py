@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidOrderError, ResourceError
-from .lacunary import _as_key
+from .lacunary import _as_int, _as_key
 
 if TYPE_CHECKING:
     from .measure import IntervalSet
@@ -29,11 +29,15 @@ class DyadicPoint:
     scale: int
 
     def __post_init__(self) -> None:
-        if self.scale < 0 or not 0 <= self.numerator < (1 << self.scale):
+        numerator = _as_int(self.numerator, 0, "numerator")
+        scale = _as_int(self.scale, 0, "scale")
+        if numerator >= 1 << scale:
             raise InvalidInputError(
                 f"dyadic point needs 0 <= numerator < 2**scale, "
-                f"got {self.numerator}/2**{self.scale}"
+                f"got {numerator}/2**{scale}"
             )
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "scale", scale)
 
     def _canonical(self) -> tuple[int, int]:
         num, sc = self.numerator, self.scale
@@ -84,6 +88,7 @@ class DyadicPoint:
             raise InvalidInputError(f"bad dyadic point {text!r}") from exc
 
     def at_scale(self, scale: int) -> "DyadicPoint":
+        scale = _as_int(scale, 0, "scale")
         if scale >= self.scale:
             return DyadicPoint(self.numerator << (scale - self.scale), scale)
         shift = self.scale - scale
@@ -93,16 +98,14 @@ class DyadicPoint:
 
     def digit(self, k: int) -> int:
         """k-th binary digit (k >= 1), terminating-expansion convention."""
-        if k < 1:
-            raise InvalidInputError("digit position must be >= 1")
+        k = _as_int(k, 1, "digit position")
         if k > self.scale:
             return 0
         return (self.numerator >> (self.scale - k)) & 1
 
     def xor_pow2(self, k: int) -> "DyadicPoint":
         """Flip digit k, i.e. XOR with 2**-k."""
-        if k < 1:
-            raise InvalidInputError("digit position must be >= 1")
+        k = _as_int(k, 1, "digit position")
         scale = max(self.scale, k)
         num = self.at_scale(scale).numerator ^ (1 << (scale - k))
         return DyadicPoint(num, scale)
@@ -118,8 +121,6 @@ def _sign(exponents: Iterable[int], x: DyadicPoint) -> int:
 
 def rademacher(n: int, x: DyadicPoint) -> int:
     """(-1)**(n-th binary digit of x); right-continuous at dyadic points."""
-    if n < 1:
-        raise InvalidInputError("Rademacher index must be >= 1")
     return _sign((n,), x)
 
 
@@ -130,13 +131,12 @@ class WalshIndex:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exps = self.exponents
+        exps = tuple(_as_int(k, 1, "exponent") for k in self.exponents)
         if not exps:
             raise InvalidInputError("index needs at least one exponent")
-        if any(k < 1 for k in exps):
-            raise InvalidInputError("exponents must be >= 1")
         if any(exps[i] <= exps[i + 1] for i in range(len(exps) - 1)):
             raise InvalidInputError("exponents must be strictly decreasing")
+        object.__setattr__(self, "exponents", exps)
 
     @property
     def value(self) -> int:

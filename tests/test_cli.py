@@ -651,3 +651,63 @@ def test_atomic_write_leaves_no_partials(capsys, tmp_path):
     run_cli(capsys, "lambda", "--l", "3", "--output", str(out_file))
     leftovers = [p for p in os.listdir(tmp_path) if p != "r.json"]
     assert leftovers == []
+
+
+# --- Walsh contexts, trig families and sequence errors ---------------------
+
+
+def test_inverse_check_and_matrix_experiment_take_a_walsh_context(capsys, tmp_path):
+    poly = write_poly(tmp_path, "w.json", WALSH_POLY)
+    code, out, _ = run_cli(
+        capsys, "inverse-check", "--poly", poly, "--kind", "walsh", "--set", "0/1:1/1",
+        "--l", "2",
+    )
+    assert code == 0
+    body = json.loads(out)
+    assert body["threshold"] == 1 - 2**-8
+    assert body["lower_constant"] == pytest.approx(1 - 2**-0.25)
+    assert body["pass"] is True and body["notes"][0].startswith("walsh threshold")
+    code, out, _ = run_cli(
+        capsys, "matrix-experiment", "--coeffs", poly, "--kind", "walsh",
+        "--set", "0/1:1/1", "--l", "2", "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "n,energy,mass,bound,pass",
+        f"1,6.25,6.25,{6.25 * (1 - 2**-0.25)!r},true",
+    ]
+
+
+TRIG_FAMILY = ["--family", "trig", "--ratio", "2", "--length", "6", "--l", "1"]
+
+
+def test_extremal_and_growth_take_a_trig_family(capsys):
+    search = ["--restarts", "1", "--max-iter", "5"]
+    code, out, _ = run_cli(capsys, "extremal", *TRIG_FAMILY, "--p", "4", *search)
+    assert code == 0
+    body = json.loads(out)
+    assert body["kind"] == "trig"
+    assert sorted(row["freq"] for row in body["coefficients"]) == [2, 4, 8, 16, 32, 64]
+    assert body["ratio"] >= 1.0
+    code, out, _ = run_cli(
+        capsys, "growth", *TRIG_FAMILY, "--p-list", "4,8,16,32", *search, "--format", "csv"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "p,ratio"
+    assert [line.split(",")[0] for line in lines[1:]] == ["4.0", "8.0", "16.0", "32.0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--terms", "4,16,64"], id="terms-without-lam"),
+        pytest.param([], id="no-sequence"),
+    ],
+)
+def test_missing_sequence_flags_are_2_with_payload(capsys, argv):
+    code, out, err = run_cli(capsys, "enumerate", *argv, "--l", "2")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-input"
+    assert "--lam" in payload["message"]

@@ -1,46 +1,62 @@
 """Input-domain tests: every public entry point refuses a bad exponent,
-order, key, frequency list, bound d, search setting, blowup budget or a
-trig key past the float range with a typed error, and the accepted key
-forms keep working.
+order, key, count, index, digit position, frequency list, bound d, search
+setting, blowup budget or a trig key past the float range with a typed
+error, and the accepted integer forms keep working.
 
-Each rule lives in one helper (``lacunary._as_exponent``, ``_as_order``,
-``_as_key``, ``trig._as_frequencies``, ``trig._as_oversample``,
-``measure._as_float`` and ``inverse._alpha_threshold_exact``), so these
-cases pin the helpers through the functions that call them.
+Each rule lives in one helper (``lacunary._as_exponent``, ``_as_int``
+behind ``_as_order`` and every count, index and digit position,
+``_as_key``, ``_ratio_violation`` for every lacunarity ratio,
+``trig._as_frequencies``, ``trig._as_oversample``, ``measure._as_float``
+and ``inverse._alpha_threshold_exact``), so these cases pin the helpers
+through the functions that call them.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacuna import (
+    DyadicPoint,
     ExtremalConfig,
     IntervalSet,
     InvalidInputError,
     InvalidOrderError,
     ResourceError,
+    SignedRepresentation,
     TrigContext,
     TrigPolynomial,
     WalshContext,
+    WalshIndex,
     WalshPolynomial,
     blowup_probe,
     build_summation_matrix,
+    counterexample_sequence,
+    critical_lambda_bracket,
+    dyadic_sequence,
     energy_on_set,
     enumerate_index_set,
     geometric_sequence,
     growth_exponent,
     interval_fourier,
+    inverse_bound_experiment,
     inverse_parseval_check,
     lp_norm_trig,
     lp_norm_walsh,
     maximize_ratio,
+    mixed_representation_count,
     modulation_projection,
+    rademacher,
     ratio_gradient,
+    representations,
     trig_family,
     walsh_family,
 )
+from lacuna.lacunary import _ratio_violation
 
 SEQ = geometric_sequence(4, 4)
 TRIG = TrigPolynomial({20: 1.0, 68: 0.5})
@@ -51,6 +67,12 @@ THIRD = IntervalSet.parse("0/1:1/3")
 
 def _trig_check(order, d):
     return inverse_parseval_check(TRIG, FULL, TrigContext(SEQ, order, d=d))
+
+
+def _experiment(n_max):
+    matrix = build_summation_matrix("prefix-of-rearrangement", order=[20, 68])
+    context = TrigContext(SEQ, 2, d=1)
+    return inverse_bound_experiment(TRIG.coefficients, matrix, FULL, context, n_max=n_max)
 
 
 def _exponent_cases():
@@ -161,6 +183,30 @@ BAD_INPUTS = [
     pytest.param(
         lambda: interval_fourier(THIRD, 10.5), InvalidInputError, id="interval-fourier-10.5"
     ),
+    # counts, indices and digit positions: each went through its own
+    # check, or none, and crashed or answered for a fractional value
+    *(
+        pytest.param(call, InvalidInputError, id=name)
+        for name, call in {
+            "geometric-length-2.5": lambda: geometric_sequence(3, 2.5),
+            "dyadic-max-exponent-2.5": lambda: dyadic_sequence(2.5),
+            "lambda-bracket-bits-2.5": lambda: critical_lambda_bracket(3, 2.5),
+            "counterexample-m-max-20.5": lambda: counterexample_sequence(2, 20.5),
+            "rademacher-index-1.5": lambda: rademacher(1.5, DyadicPoint(1, 3)),
+            "walsh-exponent-budget-8.5": lambda: maximize_ratio(walsh_family(2, 8.5), 4),
+            "walsh-index-exponent-2.5": lambda: WalshIndex((2.5, 1)),
+            "experiment-n-max-2.5": lambda: _experiment(2.5),
+            "representations-m-12.5": lambda: representations(SEQ, 12.5, 2),
+            "mixed-count-m-12.5": lambda: mixed_representation_count(SEQ, 12.5, 1),
+            "dyadic-point-numerator-1.5": lambda: DyadicPoint(1.5, 2),
+            "experiment-n-max-minus-3": lambda: _experiment(-3),
+            "prefix-length-minus-1": lambda: SEQ.prefix(-1),
+            "representation-index-minus-1": lambda: SignedRepresentation.build(
+                SEQ.terms, (2, 0, -1), (1, 1, 1)
+            ),
+            "dyadic-point-at-scale-2.5": lambda: DyadicPoint(1, 2).at_scale(2.5),
+        }.items()
+    ),
 ]
 
 
@@ -189,3 +235,51 @@ def test_integer_keys_keep_their_accepted_forms():
     middle = IntervalSet.parse("1/3:2/3")
     k = 2**62 + 1
     assert interval_fourier(middle, np.int64(k)) == interval_fourier(middle, k)
+    # numpy integer counts, indices and digit positions give the int results
+    i64, i32 = np.int64, np.int32
+    assert THIRD.dyadic_translate(i64(2)) == THIRD.dyadic_translate(2)
+    seq = geometric_sequence(i64(3), i32(4))
+    assert seq == geometric_sequence(3, 4)
+    assert all(type(t) is int for t in geometric_sequence(i64(3), 40).terms)  # no wrap
+    assert dyadic_sequence(i32(5)) == dyadic_sequence(5)
+    assert critical_lambda_bracket(i64(3), i64(32)) == critical_lambda_bracket(3, 32)
+    assert counterexample_sequence(i64(2), i64(20)) == counterexample_sequence(2, 20)
+    assert enumerate_index_set(SEQ, i64(2)).entries == enumerate_index_set(SEQ, 2).entries
+    assert representations(SEQ, i64(12), 2) == representations(SEQ, 12, 2)
+    assert mixed_representation_count(SEQ, i64(12), 1) == 1  # 12 = 16 - 4
+    point = DyadicPoint(i64(3), i64(3))
+    assert point == DyadicPoint(3, 3) and type(point.numerator) is int
+    assert point.digit(i64(2)) == point.digit(2)
+    assert rademacher(i64(2), point) == rademacher(2, point)
+    assert point.xor_pow2(i64(1)) == point.xor_pow2(1)
+    assert point.at_scale(i64(5)) == point.at_scale(5) == point
+    assert SEQ.prefix(i64(2)) == SEQ.prefix(2)
+    assert WalshIndex((i64(3), i32(1))).value == 10
+    config = ExtremalConfig(restarts=i64(2), max_iter=i64(5), seed=i64(7), oversample=i64(8))
+    assert config.to_json_dict() == ExtremalConfig(2, 5, 0.5, 7, 8).to_json_dict()
+    assert all(type(v) is int for k, v in config.to_json_dict().items() if k != "step")
+    assert repr(_experiment(i64(1))) == repr(_experiment(1))
+    assert len(_experiment(1).rows) == 1
+
+
+@st.composite
+def _ratio_cases(draw):
+    """Positive terms and a rational lam, with some ratios exactly lam."""
+    lam = draw(st.fractions(min_value=Fraction(1, 2), max_value=8, max_denominator=2**70))
+    terms = [draw(st.integers(1, 2**64)) * lam.denominator**8]
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.booleans()) and terms[-1] % lam.denominator == 0:
+            terms.append(terms[-1] // lam.denominator * lam.numerator)
+        else:
+            terms.append(draw(st.integers(1, 2**200)))
+    return terms, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratio_cases())
+def test_ratio_violation_agrees_with_the_fraction_comparison(case):
+    terms, lam = case
+    expected = next(
+        (i for i in range(len(terms) - 1) if Fraction(terms[i + 1], terms[i]) <= lam), None
+    )
+    assert _ratio_violation(terms, lam) == expected

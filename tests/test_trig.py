@@ -7,6 +7,7 @@ by independent dense quadrature at a different grid size.
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -397,6 +398,27 @@ def test_modulation_projection_quadrature_oracle():
 def test_modulation_projection_warns_off_lacunary():
     with pytest.warns(UserWarning):
         modulation_projection(6, [2, 4])
+
+
+def test_modulation_projection_of_thirty_factors_skips_the_full_expansion():
+    # the full cosine expansion would carry 2**30 terms
+    freqs = [4**k for k in range(1, 31)][::-1]
+    freqs[3], freqs[17] = freqs[17], freqs[3]  # any order is accepted
+    m = sum((-1) ** (k * k // 3) * 4**k for k in range(1, 31))
+    start = time.perf_counter()
+    assert modulation_projection(m, freqs) == Fraction(1, 2**30)
+    assert modulation_projection(-m, freqs) == Fraction(1, 2**30)
+    for off in (m + 1, m + 4, 0, 4, sum(freqs) + 4):
+        assert modulation_projection(off, freqs) == 0
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.filterwarnings("ignore:frequency list is not 3-lacunary")
+@pytest.mark.parametrize("freqs", [[1, 2, 3, 4, 5], [5, 3, 1, 2], [2, 4, 6, 8, 10, 12], [3, 7, 9]])
+def test_modulation_projection_matches_the_full_expansion(freqs):
+    full = cos_product_expand(freqs).coefficients
+    for m in range(-sum(freqs) - 2, sum(freqs) + 3):
+        assert modulation_projection(m, freqs) == full.get(m, 0)
 
 
 # --- Walsh-sign decoration ------------------------------------------------
