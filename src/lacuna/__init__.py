@@ -87,7 +87,6 @@ from .walsh import (
     recover_coefficient,
     shift_sum,
     shift_sum_bulk,
-    synthesize,
     walsh_eval,
 )
 

@@ -280,11 +280,7 @@ def _run_lambda(args):
     _flag("--lam", type=str, required=True),
 )
 def _run_validate(args):
-    report = validate_lacunary(_parse_list(args.terms), Fraction(args.lam))
-    violation = report["first_violation"]
-    if violation is not None:
-        violation = {"index": violation["index"], "pair": list(violation["pair"])}
-    return {"ok": report["ok"], "first_violation": violation}
+    return validate_lacunary(_parse_list(args.terms), Fraction(args.lam))
 
 
 @_command("enumerate", *_SEQUENCE, _L, _VARIANT)
@@ -510,7 +506,7 @@ def _run_blowup(args):
 
 def _build_parser(name: str, rows: tuple, formats: tuple):
     """The subcommand's parser and its actions keyed by dest."""
-    parser = _Parser(prog=f"lacuna {name}", description=None)
+    parser = _Parser(prog=f"lacuna {name}", description=None, allow_abbrev=False)
     rows += (
         _flag("--output", type=str, default=None, help="report file path"),
         _flag("--format", type=str, default="json", choices=formats),

@@ -111,36 +111,28 @@ class ExtremalResult:
 
 @dataclass(frozen=True)
 class ChaosFamily:
-    """Support descriptor for the extremal search.
+    """The search's support: the order-l ``variant`` sums of a sequence."""
 
-    kind "walsh" spans the order-l dyadic chaos over exponents
-    1..exponent_budget; kind "trig" spans the positive l-wise sums of
-    the supplied sequence.
-    """
-
-    kind: str
+    sequence: LacunarySequence
     order: int
-    exponent_budget: int | None = None
-    sequence: LacunarySequence | None = None
+    variant: str
 
     def index_set(self) -> ChaosIndexSet:
-        if self.kind == "walsh":
-            order = _as_order(self.order, 1)
-            budget = _as_int(self.exponent_budget, order, "exponent budget")
-            return enumerate_index_set(dyadic_sequence(budget), order, "dyadic")
-        if self.kind == "trig":
-            if self.sequence is None:
-                raise InvalidInputError("trig family needs a sequence")
-            return enumerate_index_set(self.sequence, self.order, "positive")
-        raise InvalidInputError(f"unknown family kind {self.kind!r}")
+        return enumerate_index_set(self.sequence, self.order, self.variant)
 
 
 def walsh_family(l: int, exponent_budget: int) -> ChaosFamily:
-    return ChaosFamily(kind="walsh", order=l, exponent_budget=exponent_budget)
+    """The order-l dyadic chaos over exponents 1..exponent_budget."""
+    l = _as_order(l, 1)
+    budget = _as_int(exponent_budget, l, "exponent budget")
+    return ChaosFamily(dyadic_sequence(budget), l, "dyadic")
 
 
 def trig_family(seq: LacunarySequence, l: int) -> ChaosFamily:
-    return ChaosFamily(kind="trig", order=l, sequence=seq)
+    """The positive l-wise sums of seq."""
+    if not isinstance(seq, LacunarySequence):
+        raise InvalidInputError("trig family needs a LacunarySequence")
+    return ChaosFamily(seq, l, "positive")
 
 
 def _index_set(family) -> ChaosIndexSet:
@@ -169,10 +161,9 @@ def _objective(space, vec: np.ndarray, p: float) -> float:
     return float(np.mean(a ** (p / 2)))
 
 
-def ratio_gradient(
-    coeffs: dict, index_set: ChaosIndexSet, p: float, grid_oversample: int = 8
-) -> dict:
-    """Gradient of F(c) = mean (|S_c|^2 + eps)^(p/2) over the grid.
+def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
+    """Gradient of F(c) = mean (|S_c|^2 + eps)^(p/2) over the search's grid
+    (``ExtremalConfig.oversample``).
 
     The returned complex entry at m packs dF/dRe(c_m) + i dF/dIm(c_m);
     for dyadic supports the coefficients are real and so is the
@@ -187,7 +178,7 @@ def ratio_gradient(
         raise InvalidSupportError(f"coefficients outside the index set: {sorted(extra)}")
     if all(c == 0 for c in coeffs.values()) or not coeffs:
         raise UndefinedGradientError("gradient is undefined at the zero vector")
-    space = _make_space(values, index_set.is_dyadic, grid_oversample)
+    space = _make_space(values, index_set.is_dyadic, ExtremalConfig.oversample)
     vec = np.array([space.dtype(coeffs.get(m, 0.0)) for m in values])
     _, _, grad, scale = _power_state(space, vec, p)
     with np.errstate(over="ignore", invalid="ignore"):

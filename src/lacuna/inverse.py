@@ -58,11 +58,6 @@ class TrigContext:
 
     polynomial = TrigPolynomial
 
-    def resolved_d(self) -> int:
-        if self.d is not None:
-            return self.d
-        return empirical_mixed_bound(self.sequence, self.order)
-
     def _bound(self, S) -> tuple[Fraction, float, list[str]]:
         """Exact measure threshold 1 - 1/(d*2^(l+1)), margin 1/2 and
         notes, once S is checked to be a positive-sum chaos polynomial."""
@@ -80,8 +75,9 @@ class TrigContext:
                 "sequence witness does not exceed the order-%d critical ratio; "
                 "the lower bound is not guaranteed" % (l + 1)
             )
-        d = self.resolved_d()
-        if self.d is None:
+        d = self.d
+        if d is None:
+            d = empirical_mixed_bound(self.sequence, self.order)
             notes.append(f"d={d} measured over the sequence window")
         return _alpha_threshold_exact(l, d), 0.5, notes
 
@@ -178,15 +174,6 @@ class SummationMatrix:
     rows: tuple
     bound: float
     kind: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound": self.bound,
-            "rows": [
-                sorted([[m, float(t)] for m, t in row.items()]) for row in self.rows
-            ],
-        }
 
 
 def build_summation_matrix(

@@ -61,6 +61,14 @@ def _as_int(n, least: int, what: str, error=InvalidInputError) -> int:
     return n
 
 
+def _as_sign(s) -> int:
+    """int(s), once s is the integer +1 or -1 (numpy integers included,
+    bools and floats not)."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in (-1, 1):
+        raise InvalidInputError(f"signs must be the integers +1 or -1, got {s!r}")
+    return int(s)
+
+
 def _as_order(l, least: int = 2) -> int:
     """The chaos order l as an int, once it is an integer >= least."""
     return _as_int(l, least, "order", InvalidOrderError)
@@ -234,10 +242,9 @@ class SignedRepresentation:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(_as_int(i, 0, "index") for i in self.indices))
+        object.__setattr__(self, "signs", tuple(map(_as_sign, self.signs)))
         if len(self.indices) != len(self.signs) or not self.indices:
             raise InvalidInputError("indices and signs must be nonempty, same length")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise InvalidInputError("signs must be +1 or -1")
         if any(
             self.indices[i] <= self.indices[i + 1] for i in range(len(self.indices) - 1)
         ):
@@ -260,11 +267,14 @@ class SignedRepresentation:
 
     @classmethod
     def build(cls, terms, indices, signs) -> "SignedRepresentation":
-        indices = tuple(indices)
-        signs = tuple(signs)
+        """The sum of signs[j] * terms[indices[j]], once the constructor's
+        checks pass and every index lies inside terms."""
+        rep = cls(tuple(indices), tuple(signs), 0, 0)
+        indices, signs = rep.indices, rep.signs
+        if indices[0] >= len(terms):
+            raise InvalidInputError(f"index {indices[0]} is past the {len(terms)} terms")
         value = sum(s * terms[i] for i, s in zip(indices, signs))
-        head = signs[0] * terms[indices[0]]
-        return cls(indices, signs, value, head)
+        return cls._trusted(indices, signs, value, signs[0] * terms[indices[0]])
 
 
 def _normalize_variant(variant: str) -> tuple[str, bool]:
@@ -447,9 +457,8 @@ def representations(
     for chosen in _signed_walk(terms, m, l, l, l if base == "signed" else 0):
         if chosen:
             indices, signs = zip(*chosen)
-            value = sum(s * terms[i] for i, s in chosen)
             head = signs[0] * terms[indices[0]]
-            found.append(SignedRepresentation._trusted(indices, signs, value, head))
+            found.append(SignedRepresentation._trusted(indices, signs, m, head))
     return sorted(found, key=_REP_SORT_KEY)
 
 

@@ -8,6 +8,7 @@ projection factor, and Walsh-sign decoration of chaos sums.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,14 @@ from .errors import (
     ResourceError,
     UndefinedRatioError,
 )
-from .lacunary import ChaosIndexSet, _as_exponent, _as_int, _as_key, _ratio_violation
+from .lacunary import (
+    ChaosIndexSet,
+    _as_exponent,
+    _as_int,
+    _as_key,
+    _as_sign,
+    _ratio_violation,
+)
 from .walsh import DyadicPoint, WalshPolynomial, _sign
 
 
@@ -30,15 +38,18 @@ from .walsh import DyadicPoint, WalshPolynomial, _sign
 class TrigPolynomial:
     """Sparse finite map frequency -> coefficient.
 
-    Coefficients may be complex numbers or `Fraction`s; the exact
-    rational kind survives the symbolic operations (cosine products,
-    Riesz expansion, projection) and is coerced to complex only at
-    grid synthesis time.  Zero coefficients are dropped.
+    Coefficients are ``numbers.Complex``, `Fraction`s and numpy scalars
+    included; the exact rational kind survives the symbolic operations
+    (cosine products, Riesz expansion, projection) and is coerced to
+    complex only at grid synthesis time.  Zero coefficients are dropped.
     """
 
     coefficients: Mapping[int, complex]
 
     def __init__(self, coefficients: Mapping[int, complex]):
+        for c in coefficients.values():
+            if not isinstance(c, numbers.Complex):
+                raise InvalidInputError(f"trig coefficient {c!r} is not a number")
         cleaned = {_as_key(m): c for m, c in coefficients.items() if c != 0}
         object.__setattr__(self, "coefficients", cleaned)
 
@@ -89,9 +100,6 @@ class GridEvaluation:
 
     size: int
     values: np.ndarray
-
-    def point(self, j: int) -> float:
-        return j / self.size
 
 
 def _as_oversample(oversample) -> int:
@@ -215,12 +223,10 @@ def khintchine_ratio(S, p: float) -> float:
 
 
 def _as_frequencies(freqs: Sequence[int]) -> list[int]:
-    """freqs as a list, once it is a nonempty list of distinct positive ints."""
-    freqs = list(freqs)
+    """freqs as ints, once a nonempty list of distinct positive integers."""
+    freqs = [_as_int(n, 1, "frequency") for n in freqs]
     if not freqs:
         raise InvalidInputError("need at least one frequency")
-    if any(not isinstance(n, int) or n <= 0 for n in freqs):
-        raise InvalidInputError("frequencies must be positive integers")
     if len(set(freqs)) != len(freqs):
         raise InvalidInputError("frequencies must be distinct")
     return freqs
@@ -268,11 +274,9 @@ def riesz_product(freqs: Sequence[int], signs: Sequence[int]) -> TrigPolynomial:
     raise ``ResourceError`` before any term is built.
     """
     freqs = _as_frequencies(freqs)
-    signs = list(signs)
+    signs = [_as_sign(s) for s in signs]
     if len(freqs) != len(signs):
         raise InvalidInputError("freqs and signs must have equal length")
-    if any(type(s) is not int or s not in (-1, 1) for s in signs):
-        raise InvalidInputError("signs must be the integers +1 or -1")
     if len(freqs) > 12:  # each further factor triples the time
         raise ResourceError(
             f"expansion would carry 3**{len(freqs)} terms; shrink the factor list"

@@ -289,11 +289,6 @@ def _walsh_rows(coefficients: Mapping[int, float]) -> list[dict]:
     return [{"value_m": m, "coeff": float(coefficients[m])} for m in sorted(coefficients)]
 
 
-def synthesize(coefficients: Mapping[int, float]) -> WalshPolynomial:
-    """Build a polynomial from an index-value -> coefficient map."""
-    return WalshPolynomial(dict(coefficients))
-
-
 def _flip_orbit(alpha: DyadicPoint, exponents: Sequence[int]):
     """The 2**l digit-flip shifts of alpha, each with the parity of its
     flips: for bits = 0 .. 2**l - 1, bit j flips digit exponents[j]."""

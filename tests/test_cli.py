@@ -417,6 +417,29 @@ def test_config_dashed_keys_map_to_flags(capsys, tmp_path):
     assert json.loads(out)["coverage_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--l", "2", "--conf", "{cfg}"],
+        ["--l", "2", "--conf={cfg}"],
+        ["--l", "2", "--out", "{out}"],
+    ],
+    ids=["conf", "conf-equals", "out"],
+)
+def test_abbreviated_flags_are_2(capsys, tmp_path, argv):
+    # with abbreviations on, argparse reads "--conf" as --config while the
+    # config scan sees only the full name, so the file is silently ignored
+    cfg = tmp_path / "lam.cfg"
+    cfg.write_text("l = 4\n")
+    out_file = tmp_path / "out.json"
+    argv = [a.format(cfg=cfg, out=out_file) for a in argv]
+    code, out, err = run_cli(capsys, "lambda", *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+    assert not out_file.exists()
+
+
 def test_unknown_config_key_is_65(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_flag = 7\n")

@@ -170,13 +170,6 @@ def test_gradient_underflow_raises_resource_error():
         ratio_gradient(small, iset, 300.0)
 
 
-def test_gradient_rejects_coarse_grids():
-    iset = enumerate_index_set(geometric_sequence(4, 3), 1, "positive")
-    for oversample in (0, 2):
-        with pytest.raises(InvalidInputError):
-            ratio_gradient({4: 1.0}, iset, 4.0, grid_oversample=oversample)
-
-
 # --- maximize -------------------------------------------------------------
 
 

@@ -1,14 +1,14 @@
 """Input-domain tests: every public entry point refuses a bad exponent,
-order, key, count, index, digit position, frequency list, bound d, search
-setting, blowup budget or a trig key past the float range with a typed
-error, and the accepted integer forms keep working.
+order, key, count, index, digit position, sign, frequency list, trig
+coefficient, bound d, search setting, blowup budget or a trig key past the
+float range with a typed error, and the accepted integer forms keep working.
 
 Each rule lives in one helper (``lacunary._as_exponent``, ``_as_int``
-behind ``_as_order`` and every count, index and digit position,
-``_as_key``, ``_ratio_violation`` for every lacunarity ratio,
-``trig._as_frequencies``, ``trig._as_oversample``, ``measure._as_float``
-and ``inverse._alpha_threshold_exact``), so these cases pin the helpers
-through the functions that call them.
+behind ``_as_order`` and every count, index, digit position and
+frequency, ``_as_key``, ``_as_sign``, ``_ratio_violation`` for every
+lacunarity ratio, ``trig._as_frequencies``, ``trig._as_oversample``,
+``measure._as_float`` and ``inverse._alpha_threshold_exact``), so these
+cases pin the helpers through the functions that call them.
 """
 
 import math
@@ -53,6 +53,7 @@ from lacuna import (
     rademacher,
     ratio_gradient,
     representations,
+    riesz_product,
     trig_family,
     walsh_family,
 )
@@ -205,7 +206,31 @@ BAD_INPUTS = [
                 SEQ.terms, (2, 0, -1), (1, 1, 1)
             ),
             "dyadic-point-at-scale-2.5": lambda: DyadicPoint(1, 2).at_scale(2.5),
+            "representation-index-past-the-end": lambda: SignedRepresentation.build(
+                (4, 16, 64), (3, 0), (1, 1)
+            ),
+            "representation-no-indices": lambda: SignedRepresentation.build(SEQ.terms, (), ()),
+            "projection-freq-4.0": lambda: modulation_projection(20, [4.0, 16]),
+            "walsh-family-budget-below-order": lambda: walsh_family(3, 2),
+            "trig-family-without-sequence": lambda: trig_family(None, 1),
         }.items()
+    ),
+    # one sign rule (lacunary._as_sign, which riesz_product shares): the
+    # integers +1 and -1 only; a float sign made a float value
+    *(
+        pytest.param(
+            lambda sign=sign: SignedRepresentation.build(SEQ.terms, (1, 0), (sign, 1)),
+            InvalidInputError,
+            id=f"representation-sign-{sign!r}",
+        )
+        for sign in (1.0, True, Fraction(1), "1")
+    ),
+    # one coefficient rule: a trig coefficient is a numbers.Complex
+    *(
+        pytest.param(
+            lambda c=c: TrigPolynomial({4: c}), InvalidInputError, id=f"trig-coefficient-{c!r}"
+        )
+        for c in ("1", None, [1.0])
     ),
 ]
 
@@ -231,6 +256,17 @@ def test_integer_keys_keep_their_accepted_forms():
     data = {"coefficients": [{"freq": "20", "re": 1.0}]}
     assert TrigPolynomial.from_json_dict(data).coefficients == {20: 1.0 + 0j}
     assert modulation_projection(20.0, [4, 16]) == modulation_projection(20, [4, 16])
+    # numpy integer frequencies and signs give the int results
+    assert modulation_projection(20, [np.int64(4), 16]) == modulation_projection(20, [4, 16])
+    riesz = riesz_product([4, 16], [1, -1])
+    assert riesz_product([np.int64(4), np.int32(16)], [1, -1]) == riesz
+    assert riesz_product([4, 16], [np.int64(1), np.int32(-1)]) == riesz
+    rep = SignedRepresentation.build(SEQ.terms, (np.int64(1), 0), (np.int64(1), -1))
+    assert rep == SignedRepresentation.build(SEQ.terms, (1, 0), (1, -1))
+    assert all(type(v) is int for v in (*rep.indices, *rep.signs, rep.value, rep.head))
+    # any numbers.Complex is a trig coefficient
+    coeffs = {4: Fraction(1, 2), 16: np.complex128(1j), 20: np.float32(0.5), 64: 2}
+    assert TrigPolynomial(coeffs).coefficients == coeffs
     # a numpy int past 2^62 is widened, not wrapped in the phase reduction
     middle = IntervalSet.parse("1/3:2/3")
     k = 2**62 + 1

@@ -54,7 +54,6 @@ def test_grid_single_exponential_is_roots_of_unity():
     grid = evaluate_grid(poly, 8)
     want = np.exp(2j * np.pi * np.arange(8) / 8)
     assert np.allclose(grid.values, want, atol=1e-12)
-    assert grid.point(2) == 0.25
 
 
 def test_grid_constant():

@@ -24,7 +24,6 @@ from lacuna import (
     recover_coefficient,
     shift_sum,
     shift_sum_bulk,
-    synthesize,
     walsh_eval,
 )
 
@@ -111,6 +110,14 @@ def test_dyadic_point_equality_across_scales():
     assert DyadicPoint.parse("3/8").as_fraction() == Fraction(3, 8)
 
 
+def test_dyadic_point_at_a_coarser_scale():
+    coarse = DyadicPoint(4, 4).at_scale(2)
+    assert (coarse.numerator, coarse.scale) == (1, 2)
+    assert coarse.as_fraction() == Fraction(1, 4)
+    with pytest.raises(InvalidInputError):
+        DyadicPoint(3, 4).at_scale(2)  # 3/16 needs four digits
+
+
 def test_dyadic_point_rejects_bad_values():
     with pytest.raises(InvalidInputError):
         DyadicPoint.from_fraction(Fraction(1, 3))
@@ -171,7 +178,7 @@ def test_polynomial_rejects_non_real_coefficients():
 
 
 def test_polynomial_roundtrip_and_norm():
-    poly = synthesize({6: 2.5, 20: -1.25})
+    poly = WalshPolynomial({6: 2.5, 20: -1.25})
     again = WalshPolynomial.from_json_dict(poly.to_json_dict())
     assert again.coefficients == poly.coefficients
     assert poly.norm2() == pytest.approx((2.5**2 + 1.25**2) ** 0.5, abs=1e-12)
@@ -282,6 +289,16 @@ def test_find_alpha_single_exponent():
     point = find_alpha(E, (1,))
     assert point is not None
     assert point.as_fraction() == 0
+
+
+def test_find_alpha_refines_the_scale_until_a_point_fits():
+    # the surviving interval [1/7, 2/13) is 1/91 wide: no multiple of 2^-5
+    # or 2^-6 lies in it, and 19/2^7 is the first
+    E = IntervalSet.parse("1/7:2/13,9/14:17/26")
+    point = find_alpha(E, (1,))
+    assert point.as_fraction() == Fraction(19, 2**7)
+    assert E.contains(point.as_fraction())
+    assert E.contains(point.xor_pow2(1).as_fraction())
 
 
 def test_find_alpha_shift_membership_property():
