@@ -520,14 +520,14 @@ def _build_parser(name: str, rows: tuple, formats: tuple):
 
 
 def _scan_config_path(argv: list) -> str | None:
+    """The last --config value, the one argparse keeps."""
+    path = None
     for i, token in enumerate(argv):
         if token == "--config":
-            if i + 1 < len(argv):
-                return argv[i + 1]
-            return None
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+            path = argv[i + 1] if i + 1 < len(argv) else None
+        elif token.startswith("--config="):
+            path = token.split("=", 1)[1]
+    return path
 
 
 def _load_config_file(path: str) -> dict:

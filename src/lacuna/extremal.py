@@ -35,11 +35,12 @@ from .lacunary import (
     geometric_sequence,
 )
 from .trig import _GridSpace, _as_oversample, _grid_size, _next_smooth, _trig_rows
-from .walsh import _CellSpace, _walsh_rows
+from .walsh import _CellSpace, _symmetric_ratio, _walsh_rows
 
 EPS_REG = 1e-14
 # the tangent part of a gradient this much smaller than the gradient is
-# roundoff: the all-equal start on a full dyadic family sits near 2e-16
+# roundoff: a seeded start that lands on a symmetric point, such as the
+# all-equal vector of a full dyadic family, sits near 2e-16
 STATIONARY_TOL = 1e-12
 SMALL_GAIN = 1e-10
 
@@ -276,11 +277,20 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
             runs=(RunSummary("equal", 0, "stationary", 1.0),),
         )
         return result, 1.0
-    space = _make_space(values, dyadic, config.oversample)
     n = len(values)
-    equal = np.full(n, 1.0 / n**0.5, dtype=space.dtype)
-    equal_state = _power_state(space, equal, p)
-    runs = [_ascend(space, equal, equal_state, p, config.max_iter)]
+    probe = _symmetric_ratio(values, p) if dyadic else None
+    if probe is None or config.restarts > 1:
+        space = _make_space(values, dyadic, config.oversample)
+    if probe is None:
+        equal = np.full(n, 1.0 / n**0.5, dtype=space.dtype)
+        equal_state = _power_state(space, equal, p)
+        probe = float(equal_state[1])
+        runs = [_ascend(space, equal, equal_state, p, config.max_iter)]
+    else:
+        # every order-l index over its digits: the gradient at the
+        # all-equal start is permutation invariant, so the start is
+        # stationary, and the Krawtchouk sum gives its ratio without cells
+        runs = [(np.full(n, 1.0 / n**0.5), probe, 1, "stationary")]
     for r in range(1, config.restarts):
         start = _random_start(space, (config.seed, r))
         state = _power_state(space, start, p)
@@ -300,7 +310,7 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
         kind=kind,
         runs=summaries,
     )
-    return result, float(equal_state[1])
+    return result, probe
 
 
 def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
@@ -314,6 +324,14 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     which.  Each run keeps its best iterate and the first run starts at
     the all-equal vector, so the returned ratio never falls below that
     certified warm start.  ``runs`` summarizes every start.
+
+    A full dyadic family, every order-l index over its digit positions,
+    skips the search from the all-equal start: symmetry makes that start
+    stationary, and the exact Krawtchouk sum gives its ratio (the double
+    nearest it for even integer p), so the run stops "stationary" after
+    one iteration.  With ``restarts=1`` no cells are built, and such a
+    family has no cell cap; seeded restarts still run on the cells, which
+    raise ``ResourceError`` past scale 24.
 
     Trig supports are searched on the smallest 5-smooth grid at or above
     ``config.oversample * (2 * degree + 1)`` points, a fast FFT size; the
@@ -375,7 +393,9 @@ def growth_exponent(
     slope tracks the all-equal probe vector, the classical near-extremal
     shape, to show how much of the growth the search itself adds; its
     ratio comes from the search's first evaluation, not a separate
-    transform.  An exponent whose search raises a ``LacunaError`` is
+    transform, and on a full dyadic family from the exact Krawtchouk sum
+    of ``maximize_ratio``, so at ``restarts=1`` such a family has no cell
+    cap.  An exponent whose search raises a ``LacunaError`` is
     left out of the fit and listed in ``skipped``.
     """
     p_list = [_as_exponent(p, search=True) for p in p_list]

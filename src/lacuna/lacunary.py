@@ -154,6 +154,20 @@ def _ratio_violation(terms, lam: Fraction) -> int | None:
     return None
 
 
+def _as_terms(terms: Iterable[int]) -> tuple[int, ...]:
+    """terms as Python ints, once a nonempty, strictly increasing run of
+    positive integers (numpy integers included)."""
+    terms = tuple(_as_int(t, 1, "term", InvalidSequenceError) for t in terms)
+    if not terms:
+        raise InvalidSequenceError("sequence must be nonempty")
+    for i in range(len(terms) - 1):
+        if terms[i + 1] <= terms[i]:
+            raise InvalidSequenceError(
+                f"terms must be strictly increasing, got {terms[i]} then {terms[i + 1]}"
+            )
+    return terms
+
+
 def validate_lacunary(terms: Iterable[int], lam) -> dict:
     """Check ``n_{k+1}/n_k > lam`` for every consecutive pair, exactly.
 
@@ -163,16 +177,7 @@ def validate_lacunary(terms: Iterable[int], lam) -> dict:
     non-increasing terms) raise ``InvalidSequenceError`` instead of
     being reported.
     """
-    terms = list(terms)
-    if not terms:
-        raise InvalidSequenceError("sequence must be nonempty")
-    if any(not isinstance(t, int) or t <= 0 for t in terms):
-        raise InvalidSequenceError("terms must be positive integers")
-    for i in range(len(terms) - 1):
-        if terms[i + 1] <= terms[i]:
-            raise InvalidSequenceError(
-                f"terms must be strictly increasing, got {terms[i]} then {terms[i + 1]}"
-            )
+    terms = _as_terms(terms)
     i = _ratio_violation(terms, _as_fraction(lam))
     violation = None if i is None else {"index": i, "pair": (terms[i], terms[i + 1])}
     return {"ok": i is None, "first_violation": violation}
@@ -192,15 +197,14 @@ class LacunarySequence:
     lam: Fraction
 
     def __init__(self, terms: Iterable[int], lam):
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "terms", _as_terms(terms))
         object.__setattr__(self, "lam", _as_fraction(lam))
         if self.lam <= 0:
             raise InvalidSequenceError("lacunarity witness must be positive")
-        report = validate_lacunary(self.terms, self.lam)
-        if not report["ok"]:
-            pair = report["first_violation"]["pair"]
+        i = _ratio_violation(self.terms, self.lam)
+        if i is not None:
             raise InvalidSequenceError(
-                f"ratio {pair[1]}/{pair[0]} does not exceed witness {self.lam}"
+                f"ratio {self.terms[i + 1]}/{self.terms[i]} does not exceed witness {self.lam}"
             )
 
     def __len__(self) -> int:

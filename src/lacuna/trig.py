@@ -47,10 +47,13 @@ class TrigPolynomial:
     coefficients: Mapping[int, complex]
 
     def __init__(self, coefficients: Mapping[int, complex]):
-        for c in coefficients.values():
+        cleaned = {}
+        for m, c in coefficients.items():
+            m = _as_key(m)
             if not isinstance(c, numbers.Complex):
-                raise InvalidInputError(f"trig coefficient {c!r} is not a number")
-        cleaned = {_as_key(m): c for m, c in coefficients.items() if c != 0}
+                raise InvalidInputError(f"trig coefficient {c!r} at {m} is not a number")
+            if c != 0:
+                cleaned[m] = c
         object.__setattr__(self, "coefficients", cleaned)
 
     @property

@@ -7,7 +7,10 @@ rationals, XOR is digit-wise, and shift sums are plain integers.
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -224,6 +227,75 @@ class _CellSpace:
         work = weights.astype(float, copy=True)
         _fwht(work)
         return work[self._masks] / self.size
+
+
+# even integer exponents up to this one take the exact integer moment
+_EXACT_P_MAX = 1024
+_LN2 = math.log(2.0)
+
+
+def _log_quotient(num: int, den: int) -> float:
+    """log(num / den) for positive ints of any size, to a few ulps of the
+    result rather than of log(num)."""
+    shift = num.bit_length() - den.bit_length()
+    mant = num / (den << shift) if shift >= 0 else (num << -shift) / den
+    return math.log(mant) + shift * _LN2
+
+
+def _nearest_root(num: int, den: int, q: int) -> float:
+    """The double nearest (num / den) ** (1 / q), for positive ints."""
+    target = Fraction(num, den)
+    root = math.exp(_log_quotient(num, den) / q)
+    while True:
+        up, down = math.nextafter(root, math.inf), math.nextafter(root, 0.0)
+        if ((Fraction(root) + Fraction(up)) / 2) ** q < target:
+            root = up
+        elif ((Fraction(root) + Fraction(down)) / 2) ** q > target:
+            root = down
+        else:
+            return root
+
+
+def _krawtchouk(l: int, n: int) -> list[int]:
+    """K_l(k; n) = sum_j (-1)^j C(k, j) C(n - k, l - j) for k = 0 .. n."""
+    return [
+        sum((-1) ** j * math.comb(k, j) * math.comb(n - k, l - j) for j in range(l + 1))
+        for k in range(n + 1)
+    ]
+
+
+def _symmetric_ratio(values_m: Sequence[int], p) -> float | None:
+    """The L^p/L^2 ratio of the all-equal polynomial on values_m, when
+    they are every order-l index over their n digit positions, else None.
+
+    Such a sum of products of l of n Rademachers depends only on the
+    number k of minus signs, where it is the Krawtchouk value K_l(k; n).
+    So ||S||_p^p = 2^-n sum_k C(n, k) |K_l(k; n)|^p, and the ratio is its
+    p-th root over C(n, l)^(1/2): O(n l) integer work, no cells.  An even
+    integer p up to ``_EXACT_P_MAX`` sums exactly and rounds once, to the
+    nearest double; any other p takes a log-sum-exp scaled by its
+    largest term, which is finite for every p.
+    """
+    order = values_m[0].bit_count()
+    n = functools.reduce(operator.or_, values_m).bit_count()
+    size = math.comb(n, order)
+    if not order or len(values_m) != size or any(m.bit_count() != order for m in values_m):
+        return None
+    weights = [1]
+    for k in range(n):
+        weights.append(weights[-1] * (n - k) // (k + 1))
+    levels = _krawtchouk(order, n)
+    if float(p).is_integer() and p % 2 == 0 and p <= _EXACT_P_MAX:
+        q = int(p)
+        moment = sum(w * v**q for w, v in zip(weights, levels))
+        return _nearest_root(moment, size ** (q // 2) << n, q)
+    logs = [
+        _log_quotient(w, 1 << n) + p / 2 * _log_quotient(v * v, size)
+        for w, v in zip(weights, levels)
+        if v
+    ]
+    top = max(logs)
+    return math.exp((top + math.log(math.fsum(math.exp(t - top) for t in logs))) / p)
 
 
 @dataclass(frozen=True)

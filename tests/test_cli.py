@@ -409,6 +409,30 @@ def test_cli_flag_wins_over_config(capsys, tmp_path):
     assert out.strip() == "1.618033988749895"
 
 
+def test_last_repeated_config_wins(capsys, tmp_path):
+    # argparse keeps the last of a repeated flag, and so does the config scan
+    first, last = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("l = 4\n")
+    last.write_text("l = 3\n")
+    code, out, _ = run_cli(capsys, "lambda", "--config", str(first), "--config", str(last))
+    assert code == 0
+    assert out.strip() == "1.618033988749895"
+    code, out, _ = run_cli(capsys, "lambda", f"--config={last}", "--config", str(first))
+    assert code == 0
+    assert out.strip() == "1.8392867552141612"
+
+
+def test_walsh_growth_at_one_restart_runs_past_the_cell_cap(capsys):
+    code, out, _ = run_cli(
+        capsys, "growth", "--family", "walsh", "--l", "2", "--exponent-budget", "40",
+        "--p-list", "4,8,16,32", "--restarts", "1",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["skipped"] == []
+    assert report["ratio"] == report["probe_ratio"]
+
+
 def test_config_dashed_keys_map_to_flags(capsys, tmp_path):
     cfg = tmp_path / "ce.cfg"
     cfg.write_text("l = 2\nm-max = 9\n")

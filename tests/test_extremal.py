@@ -8,6 +8,11 @@ upper bounds, and bitwise rerun equality.
 """
 
 import warnings
+from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from itertools import combinations, product
+from math import gamma, pi, sqrt
 
 import numpy as np
 import pytest
@@ -37,7 +42,8 @@ from lacuna import (
     walsh_family,
 )
 from lacuna import extremal
-from lacuna.extremal import RunSummary
+from lacuna.extremal import RunSummary, _power_state
+from lacuna.walsh import _CellSpace, _symmetric_ratio
 
 EPS_REG = 1e-14
 
@@ -259,6 +265,75 @@ def test_equal_start_is_stationary_on_full_dyadic_family():
     assert result.to_json_dict()["stop_reason"] == "stationary"
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_symmetric_ratio_matches_the_cells(l):
+    for n in range(l + 1, 13):
+        values = walsh_family(l, n).index_set().values()
+        space = _CellSpace(values)
+        equal = np.full(len(values), 1.0 / np.sqrt(len(values)))
+        for p in (2.5, 3, 4, 5.5, 8, 32):
+            want = _power_state(space, equal, p)[1]
+            assert _symmetric_ratio(values, p) == pytest.approx(want, rel=1e-14), (n, p)
+
+
+@pytest.mark.parametrize("l, n, p", [(1, 7, 4), (2, 8, 8), (3, 9, 6), (2, 10, 32)])
+def test_symmetric_ratio_at_even_p_is_the_nearest_double(l, n, p):
+    """||S||_p^p over all 2^n sign patterns, in exact integers, then its
+    p-th root to 60 digits: the double nearest it is the helper's."""
+    subsets = list(combinations(range(n), l))
+    total = 0
+    for signs in product((1, -1), repeat=n):
+        total += sum(int(np.prod([signs[i] for i in a])) for a in subsets) ** p
+    moment = Fraction(total, 2**n) / Fraction(len(subsets)) ** (p // 2)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = (Decimal(moment.numerator) / Decimal(moment.denominator)) ** (Decimal(1) / p)
+    values = walsh_family(l, n).index_set().values()
+    assert _symmetric_ratio(values, p) == float(root)
+
+
+def test_symmetric_ratio_finite_at_two_thousand_digits():
+    """At n = 2000 the binomial weights pass the float range.  The ratio
+    of a Rademacher sum stays under the Gaussian's, Haagerup's sharp
+    Khintchine constant, and at n = 2000 within a percent of it."""
+    values = [1 << k for k in range(1, 2001)]
+    for p in (32, 33.5):
+        ratio = _symmetric_ratio(values, p)
+        gaussian = sqrt(2) * (gamma((p + 1) / 2) / sqrt(pi)) ** (1 / p)
+        assert 0.99 * gaussian < ratio < gaussian
+
+
+def test_symmetric_ratio_grows_at_the_bonami_rate():
+    values = walsh_family(2, 200).index_set().values()
+    ps = [4, 8, 16, 32]
+    slope = np.polyfit(np.log(ps), np.log([_symmetric_ratio(values, p) for p in ps]), 1)[0]
+    assert slope == pytest.approx(1.0, abs=0.01)  # p^(l/2)
+
+
+def test_full_dyadic_family_at_one_restart_has_no_cell_cap():
+    fam = walsh_family(2, 30)
+    values = fam.index_set().values()
+    result = maximize_ratio(fam, 4, ExtremalConfig(restarts=1))
+    assert result.ratio == _symmetric_ratio(values, 4)
+    assert result.runs == (RunSummary("equal", 1, "stationary", result.ratio),)
+    assert set(result.coefficients.values()) == {1.0 / len(values) ** 0.5}
+    report = growth_exponent(fam, [4, 8, 16, 32], ExtremalConfig(restarts=1))
+    assert report.skipped == () and report.ratios == report.probe_ratios
+    with pytest.raises(ResourceError):
+        maximize_ratio(fam, 4, ExtremalConfig(restarts=2))
+
+
+def test_partial_dyadic_family_takes_the_cell_path():
+    full = walsh_family(2, 30).index_set()
+    values = full.values()
+    assert _symmetric_ratio(values[1:], 4) is None
+    # as many values over as many digits, one of them of order 3
+    assert _symmetric_ratio(sorted(values[1:] + [2 + 4 + 8]), 4) is None
+    partial = replace(full, entries={m: full.entries[m] for m in values[1:]})
+    with pytest.raises(ResourceError):
+        maximize_ratio(partial, 4, ExtremalConfig(restarts=1))
+
+
 def test_stop_at_max_iter_is_not_converged():
     fam = trig_family(geometric_sequence(2, 8), 1)
     result = maximize_ratio(fam, 8.0, ExtremalConfig(restarts=1, max_iter=1))
@@ -373,12 +448,17 @@ def test_growth_validation():
 
 
 def test_growth_all_exponents_fail_raises():
-    # exponent budget 30 forces cell arrays past the scale cap, and degree
-    # 3^20 + 3^19 a grid of 7.4e10 points past the 2^24 grid cap, so every
-    # p fails inside the loop and the fit has nothing to work with
-    for fam in (walsh_family(2, 30), trig_family(geometric_sequence(3, 20), 2)):
+    # exponent budget 30 forces the seeded restart's cells past the scale
+    # cap, and degree 3^20 + 3^19 a grid of 7.4e10 points past the 2^24
+    # grid cap, so every p fails inside the loop and the fit has nothing
+    # to work with
+    cases = (
+        (walsh_family(2, 30), ExtremalConfig(restarts=2, max_iter=5)),
+        (trig_family(geometric_sequence(3, 20), 2), ExtremalConfig(restarts=1, max_iter=5)),
+    )
+    for fam, cfg in cases:
         with pytest.raises(InsufficientDataError) as info:
-            growth_exponent(fam, [3, 4, 6, 8], ExtremalConfig(restarts=1, max_iter=5))
+            growth_exponent(fam, [3, 4, 6, 8], cfg)
         skipped = tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))
         assert info.value.skipped == skipped
 

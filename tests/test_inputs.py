@@ -5,8 +5,8 @@ float range with a typed error, and the accepted integer forms keep working.
 
 Each rule lives in one helper (``lacunary._as_exponent``, ``_as_int``
 behind ``_as_order`` and every count, index, digit position and
-frequency, ``_as_key``, ``_as_sign``, ``_ratio_violation`` for every
-lacunarity ratio, ``trig._as_frequencies``, ``trig._as_oversample``,
+frequency, ``_as_key``, ``_as_sign``, ``_as_terms`` for every sequence,
+``_ratio_violation`` for every lacunarity ratio, ``trig._as_frequencies``, ``trig._as_oversample``,
 ``measure._as_float`` and ``inverse._alpha_threshold_exact``), so these
 cases pin the helpers through the functions that call them.
 """
@@ -26,6 +26,8 @@ from lacuna import (
     IntervalSet,
     InvalidInputError,
     InvalidOrderError,
+    InvalidSequenceError,
+    LacunarySequence,
     ResourceError,
     SignedRepresentation,
     TrigContext,
@@ -55,6 +57,7 @@ from lacuna import (
     representations,
     riesz_product,
     trig_family,
+    validate_lacunary,
     walsh_family,
 )
 from lacuna.lacunary import _ratio_violation
@@ -97,6 +100,16 @@ BAD_INPUTS = [
     *_exponent_cases(),
     pytest.param(lambda: TrigPolynomial({20.7: 1.0}), InvalidInputError, id="trig-key-20.7"),
     pytest.param(lambda: WalshPolynomial({6.9: 1.0}), InvalidInputError, id="walsh-key-6.9"),
+    # the key is checked before a zero coefficient is dropped
+    pytest.param(
+        lambda: TrigPolynomial({20.7: 0, 4: 1.0}), InvalidInputError, id="trig-key-20.7-zero"
+    ),
+    pytest.param(
+        lambda: WalshPolynomial({6.9: 0, 6: 1.0}), InvalidInputError, id="walsh-key-6.9-zero"
+    ),
+    pytest.param(
+        lambda: validate_lacunary([4.0, 16], 3), InvalidSequenceError, id="lacunary-term-4.0"
+    ),
     pytest.param(
         lambda: TrigPolynomial.from_json_dict({"coefficients": [{"freq": 20.7, "re": 1.0}]}),
         InvalidInputError,
@@ -290,6 +303,10 @@ def test_integer_keys_keep_their_accepted_forms():
     assert point.xor_pow2(i64(1)) == point.xor_pow2(1)
     assert point.at_scale(i64(5)) == point.at_scale(5) == point
     assert SEQ.prefix(i64(2)) == SEQ.prefix(2)
+    assert validate_lacunary([i64(4), 16], 3) == validate_lacunary([4, 16], 3)
+    assert validate_lacunary([i64(4), 8], 3)["first_violation"]["pair"] == (4, 8)
+    terms = LacunarySequence([True, i32(4)], 3).terms
+    assert terms == (1, 4) and all(type(t) is int for t in terms)
     assert WalshIndex((i64(3), i32(1))).value == 10
     config = ExtremalConfig(restarts=i64(2), max_iter=i64(5), seed=i64(7), oversample=i64(8))
     assert config.to_json_dict() == ExtremalConfig(2, 5, 0.5, 7, 8).to_json_dict()
