@@ -34,7 +34,7 @@ from .lacunary import (
     enumerate_index_set,
     geometric_sequence,
 )
-from .trig import _GridSpace, _as_oversample, _grid_size, _next_smooth, _trig_rows
+from .trig import _GridSpace, _as_oversample, _exact_size, _grid_size, _next_smooth, _trig_rows
 from .walsh import _CellSpace, _symmetric_ratio, _walsh_rows
 
 EPS_REG = 1e-14
@@ -49,7 +49,10 @@ SMALL_GAIN = 1e-10
 class ExtremalConfig:
     """Search settings, checked on construction.  ``oversample`` sizes the
     trig search grid: the smallest 5-smooth size at or above
-    oversample * (2 * degree + 1)."""
+    oversample * (2 * degree + 1).  At even integer p = 2q, where the
+    quadrature is exact on N > q * (max - min) points over the support's
+    frequencies, the search takes the smallest 5-smooth such N above
+    2 * degree when that is smaller; the grid is never larger."""
 
     restarts: int = 3
     max_iter: int = 150
@@ -147,13 +150,16 @@ def _index_set(family) -> ChaosIndexSet:
     return family
 
 
-def _make_space(values, dyadic: bool, oversample: int):
+def _make_space(values, dyadic: bool, oversample: int, p=None):
     """The cells of a dyadic support, else the smallest 5-smooth grid at or
-    above oversample * (2 * degree + 1) points."""
+    above oversample * (2 * degree + 1) points, or, given an exponent p,
+    the smaller exact grid of ``trig._exact_size`` where p is an even
+    integer."""
     if dyadic:
         return _CellSpace(values)
     degree = max(abs(m) for m in values)
-    return _GridSpace(values, _next_smooth(_grid_size(degree, oversample)))
+    size = _next_smooth(_grid_size(degree, oversample))
+    return _GridSpace(values, size if p is None else _exact_size(values, p, size))
 
 
 def _objective(space, vec: np.ndarray, p: float) -> float:
@@ -164,7 +170,7 @@ def _objective(space, vec: np.ndarray, p: float) -> float:
 
 def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
     """Gradient of F(c) = mean (|S_c|^2 + eps)^(p/2) over the search's grid
-    (``ExtremalConfig.oversample``).
+    at p (``ExtremalConfig.oversample``, or the exact grid at even p).
 
     The returned complex entry at m packs dF/dRe(c_m) + i dF/dIm(c_m);
     for dyadic supports the coefficients are real and so is the
@@ -179,7 +185,7 @@ def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
         raise InvalidSupportError(f"coefficients outside the index set: {sorted(extra)}")
     if all(c == 0 for c in coeffs.values()) or not coeffs:
         raise UndefinedGradientError("gradient is undefined at the zero vector")
-    space = _make_space(values, index_set.is_dyadic, ExtremalConfig.oversample)
+    space = _make_space(values, index_set.is_dyadic, ExtremalConfig.oversample, p)
     vec = np.array([space.dtype(coeffs.get(m, 0.0)) for m in values])
     _, _, grad, scale = _power_state(space, vec, p)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -280,7 +286,7 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
     n = len(values)
     probe = _symmetric_ratio(values, p) if dyadic else None
     if probe is None or config.restarts > 1:
-        space = _make_space(values, dyadic, config.oversample)
+        space = _make_space(values, dyadic, config.oversample, p)
     if probe is None:
         equal = np.full(n, 1.0 / n**0.5, dtype=space.dtype)
         equal_state = _power_state(space, equal, p)
@@ -334,11 +340,14 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     raise ``ResourceError`` past scale 24.
 
     Trig supports are searched on the smallest 5-smooth grid at or above
-    ``config.oversample * (2 * degree + 1)`` points, a fast FFT size; the
-    quadrature is exact for even p with p * degree below that size.  For
-    any other p a trig ratio carries a quadrature error that the result
-    does not report (about 4e-8 relative at p = 3 on the first-order
-    family of ``geometric_sequence(2, 8)``).
+    ``config.oversample * (2 * degree + 1)`` points, a fast FFT size.  At
+    even integer p = 2q the quadrature is exact on N > q * (max - min)
+    points, over the support's frequencies, and the search takes the
+    smallest 5-smooth such N above 2 * degree when that is smaller; the
+    grid is never larger.  For any other p a trig ratio carries a
+    quadrature error that the result does not report (about 4e-8
+    relative at p = 3 on the first-order family of
+    ``geometric_sequence(2, 8)``).
     """
     p = _as_exponent(p, search=True)
     index_set = _index_set(index_set)
@@ -488,7 +497,8 @@ def blowup_probe(
     consecutive frequencies form a Dirichlet kernel, whose slope tends
     to 1/2 - 1/p.  The trend is reported, never asserted: divergence at
     the threshold is a limit statement.  A control grid above 2^24
-    points raises ``ResourceError`` before any search runs.
+    points, sized at p as its searches size it, raises ``ResourceError``
+    before any search runs.
     """
     l = _as_order(l)
     p = _as_exponent(p, search=True)
@@ -500,7 +510,7 @@ def blowup_probe(
     control = _budget_values(geometric_sequence(3, 4 * l + 16), l, top)
     # check the control grid's cap before any search; the critical degree
     # grows only linearly in the budget
-    _make_space(control[:top], False, config.oversample)
+    _make_space(control[:top], False, config.oversample, p)
     _, cover = counterexample_sequence(l, 3**l + (top + 1) // 2 - 1)
     critical = sorted((s * m for m in cover["witnesses"] for s in (1, -1)), key=abs)
     rows = []

@@ -31,7 +31,7 @@ from .lacunary import (
     _as_sign,
     _ratio_violation,
 )
-from .walsh import DyadicPoint, WalshPolynomial, _sign
+from .walsh import DyadicPoint, WalshPolynomial, _sign, _symmetric_ratio
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,24 @@ def _grid_size(degree: int, oversample: int) -> int:
     return _as_oversample(oversample) * (2 * degree + 1)
 
 
+def _exact_size(freqs, p, size: int) -> int:
+    """``size``, or at even integer p a smaller grid that is still exact.
+
+    At p = 2q, |S|^p = S^q conj(S)^q has frequencies of modulus at most
+    q * (max - min) over the frequencies of S, and |S|^(p-2) S lands
+    within that distance of every frequency of S.  So on N > q * (max -
+    min) points the grid mean of |S|^p is exact and the adjoint of
+    |S|^(p-2) S aliases onto no frequency of S.  The smallest 5-smooth N
+    above that span and above 2 * degree replaces ``size`` when it is
+    smaller; any other p keeps ``size``.
+    """
+    if float(p).is_integer() and p % 2 == 0:
+        least = max(int(p) // 2 * (max(freqs) - min(freqs)), 2 * max(map(abs, freqs)))
+        if least < size:
+            return min(size, _next_smooth(least + 1))
+    return size
+
+
 def _next_smooth(n: int) -> int:
     """Smallest 5-smooth integer (2^a 3^b 5^c) at or above n >= 1, a size
     at which the FFT runs several times faster than at a nearby size with
@@ -182,15 +200,31 @@ def grid_to_coefficients(grid: GridEvaluation, freqs: Sequence[int]) -> dict[int
 def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
     """L^p norm over [0, 1), finite p >= 1, by uniform-grid quadrature.
 
-    The grid has oversample * (2*degree + 1) points; p == 2 bypasses the
-    grid and returns the exact Parseval value.
+    The grid has oversample * (2*degree + 1) points.  At even integer
+    p = 2q the quadrature is exact on N > q * (max - min) points, over
+    the frequencies of S, and the grid is the smallest 5-smooth such N
+    above 2 * degree when that is smaller; it is never larger.  p == 2
+    bypasses the grid and returns the exact Parseval value.
     """
     N = _grid_size(S.degree, oversample)
-    return _lp_norm(S, p, lambda: evaluate_grid(S, N).values)
+    return _lp_norm(
+        S, p, lambda: evaluate_grid(S, _exact_size(S.coefficients, p, N)).values
+    )
 
 
 def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
-    """Exact L^p norm, finite p >= 1, via the cell values; p == 2 is Parseval."""
+    """Exact L^p norm, finite p >= 1, via the cell values; p == 2 is Parseval.
+
+    When every coefficient is equal and the support is every order-l
+    index over its digit positions, the norm is the L^2 norm times the
+    Krawtchouk-sum ratio of ``walsh._symmetric_ratio``: no cells are
+    built, so no cell cap applies.
+    """
+    p = _as_exponent(p)
+    if p != 2 and len(set(S.coefficients.values())) == 1:
+        ratio = _symmetric_ratio(list(S.coefficients), p)
+        if ratio is not None:
+            return ratio * S.norm2()
     return _lp_norm(S, p, S.cell_values)
 
 

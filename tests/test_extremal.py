@@ -359,6 +359,32 @@ def test_trig_search_grid_is_five_smooth():
     values = trig_family(geometric_sequence(2, 11), 1).index_set().values()
     # 8 * (2 * 2048 + 1) = 32776 = 2^3 * 17 * 241 rounds up to 3^8 * 5
     assert _make_space(values, False, 8).size == 32805
+    # at even p the exact grid on keys 2..2048: N > (p / 2) * 2046 and
+    # N > 4096, rounded up to 5-smooth, when under the oversample one
+    sizes = {4: 4320, 8: 8192, 16: 16384, 32: 32768, 3: 32805, 64: 32805, 6.5: 32805}
+    for p, want in sizes.items():
+        assert _make_space(values, False, 8, p).size == want, p
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        keys = sorted(set(rng.integers(-5000, 5000, size=int(rng.integers(1, 9))).tolist()))
+        for p in (3, 4, 6, 8, 16, 32, 64):
+            assert _make_space(keys, False, 8, p).size <= _make_space(keys, False, 8).size
+
+
+def test_extremal_trig_runs_keep_their_iterations_and_stop_reasons():
+    """The exact grid at even p leaves every run of the seed-1 search on
+    the benchmark's trig family where the oversample grid left it."""
+    fam = trig_family(geometric_sequence(2, 11), 1)
+    cfg = ExtremalConfig(restarts=2, max_iter=60, seed=1)
+    earlier = {
+        4: [(1, "stationary"), (60, "max-iter")],
+        8: [(55, "small-gain"), (60, "max-iter")],
+        16: [(13, "small-gain"), (17, "small-gain")],
+        32: [(6, "small-gain"), (8, "small-gain")],
+    }
+    for p, want in earlier.items():
+        runs = maximize_ratio(fam, p, cfg).runs
+        assert [(run.iterations, run.stop_reason) for run in runs] == want, p
 
 
 def test_maximize_on_smooth_grid_keeps_exact_quadrature_ratios():
@@ -522,14 +548,38 @@ def test_blowup_critical_slope_exceeds_control_without_warning():
 
 
 def test_blowup_control_grid_cap_before_any_search(monkeypatch):
-    """At l = 2 the 300 smallest control sums need a grid of 2.56e7 points."""
+    """At l = 2 and p = 4 the 400 smallest control sums, +-1.43e7 at
+    most, need a grid of 5.76e7 points."""
 
     def search(*args):
         raise AssertionError("a search ran before the grid cap was checked")
 
     monkeypatch.setattr(extremal, "_maximize_over_values", search)
     with pytest.raises(ResourceError, match="2\\^24"):
-        blowup_probe(2, 4.0, [8, 300], seed=0)
+        blowup_probe(2, 4.0, [8, 400], seed=0)
+
+
+def test_blowup_cap_check_sizes_the_grid_as_its_searches_do(monkeypatch):
+    made = []
+    make_space = extremal._make_space
+
+    def spy(values, dyadic, oversample, p=None):
+        space = make_space(values, dyadic, oversample, p)
+        made.append((sorted(values), space.size))
+        return space
+
+    monkeypatch.setattr(extremal, "_make_space", spy)
+    blowup_probe(2, 4.0, [6, 12], seed=0)
+    checked, *searched = made
+    assert checked in searched
+    assert checked[1] < make_space(checked[0], False, 8).size
+    # +-K keys: the p = 4 grid needs N > 4K, the oversample one 8(2K + 1)
+    fits = [-2_000_000, 1, 2_000_000]
+    assert make_space(fits, False, 8, 4.0).size == 8_100_000 <= 1 << 24
+    with pytest.raises(ResourceError, match="2\\^24"):
+        make_space(fits, False, 8)
+    with pytest.raises(ResourceError, match="2\\^24"):
+        make_space([-5_000_000, 1, 5_000_000], False, 8, 4.0)
 
 
 def test_blowup_single_budget():

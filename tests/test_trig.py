@@ -132,6 +132,20 @@ def test_lp_oversample_stability():
     assert a == pytest.approx(oracle_lp(poly, 3), abs=1e-6)
 
 
+@pytest.mark.parametrize("signed", [False, True])
+def test_lp_at_even_p_matches_a_fine_grid(signed):
+    """At even p the norm runs on the smaller exact grid; it agrees with
+    the plain quadrature at oversample 64."""
+    rng = np.random.default_rng(11 + signed)
+    for _ in range(10):
+        keys = rng.choice(np.arange(-400 if signed else 1, 401), size=7, replace=False)
+        poly = TrigPolynomial({int(m): complex(*rng.standard_normal(2)) for m in keys})
+        fine = np.abs(evaluate_grid(poly, 64 * (2 * poly.degree + 1)).values)
+        for p in (4, 6, 8, 16):
+            want = float(np.mean(fine**p)) ** (1 / p)
+            assert lp_norm_trig(poly, p) == pytest.approx(want, rel=1e-12), p
+
+
 def test_next_smooth_matches_brute_force():
     from lacuna.trig import _next_smooth
 
@@ -188,6 +202,36 @@ def test_walsh_lp_norms():
     poly = WalshPolynomial({2: 1.0, 4: 1.0})
     assert lp_norm_walsh(poly, 4) == pytest.approx(8**0.25, abs=1e-13)
     assert lp_norm_walsh(WalshPolynomial({}), 4) == 0.0
+
+
+def test_walsh_lp_on_an_equal_full_family_is_the_krawtchouk_sum():
+    from lacuna.walsh import _symmetric_ratio
+
+    for l, n in ((1, 9), (2, 10), (3, 8)):
+        values = enumerate_index_set(dyadic_sequence(n), l, "dyadic").values()
+        for c in (0.3, -2, Fraction(1, 3)):
+            poly = WalshPolynomial({m: c for m in values})
+            scale = abs(float(c)) * math.sqrt(len(values))
+            for p in (1, 3, 4, 5.5, 8, 32):
+                want = _symmetric_ratio(values, p)
+                assert lp_norm_walsh(poly, p) / scale == pytest.approx(want, rel=1e-15)
+                assert khintchine_ratio(poly, p) == pytest.approx(want, rel=3e-16)
+
+
+def test_walsh_lp_on_an_equal_full_family_has_no_cell_cap():
+    from lacuna.walsh import _symmetric_ratio
+
+    values = enumerate_index_set(dyadic_sequence(26), 2, "dyadic").values()
+    equal = WalshPolynomial({m: 1.0 for m in values})
+    assert lp_norm_walsh(equal, 8) > 0
+    assert khintchine_ratio(equal, 8) == pytest.approx(_symmetric_ratio(values, 8), rel=3e-16)
+    # a partial family, or one unequal coefficient, still takes the cells
+    for coeffs in (
+        {m: 1.0 for m in values[1:]},
+        {**{m: 1.0 for m in values}, values[0]: 2.0},
+    ):
+        with pytest.raises(ResourceError, match="scale 24"):
+            lp_norm_walsh(WalshPolynomial(coeffs), 8)
 
 
 def test_lp_norms_do_not_overflow_at_large_p():
