@@ -6,6 +6,9 @@ are deterministic: sorted keys, no timestamps, atomic file writes, and
 an embedded schema_version plus the fully resolved configuration, so a
 rerun with identical arguments and seed is byte-identical.
 
+Each runner imports the library module it needs, so a command that does
+no float work never loads numpy.
+
 Exit codes: 0 success, 2 validation or precondition failure (with a
 machine-readable JSON object on stderr), 64 unknown subcommand, 65
 malformed config file.
@@ -21,48 +24,6 @@ import tempfile
 from fractions import Fraction
 
 from .errors import InvalidInputError, LacunaError
-from .extremal import (
-    ExtremalConfig,
-    blowup_probe,
-    growth_exponent,
-    maximize_ratio,
-    trig_family,
-    walsh_family,
-)
-from .inverse import (
-    TrigContext,
-    WalshContext,
-    build_summation_matrix,
-    inverse_bound_experiment,
-    inverse_parseval_check,
-)
-from .lacunary import (
-    LacunarySequence,
-    counterexample_sequence,
-    critical_lambda,
-    enumerate_index_set,
-    geometric_sequence,
-    head_partition,
-    representations,
-    validate_lacunary,
-)
-from .measure import IntervalSet, energy_on_set
-from .trig import (
-    TrigPolynomial,
-    khintchine_ratio,
-    lp_norm_trig,
-    lp_norm_walsh,
-    modulation_projection,
-    riesz_product,
-)
-from .walsh import (
-    DyadicPoint,
-    WalshIndex,
-    WalshPolynomial,
-    find_alpha,
-    recover_coefficient,
-    shift_sum,
-)
 
 SCHEMA_VERSION = "1"
 
@@ -110,7 +71,10 @@ def _load_json_file(path: str) -> dict:
 
 
 def _load_poly(path: str, kind: str):
-    decoder = WalshPolynomial if kind == "walsh" else TrigPolynomial
+    if kind == "walsh":
+        from .walsh import WalshPolynomial as decoder
+    else:
+        from .trig import TrigPolynomial as decoder
     return decoder.from_json_dict(_load_json_file(path))
 
 
@@ -187,7 +151,8 @@ _COMMANDS = {}
 
 def _command(name: str, *rows, formats=("json",), scalar=False):
     """Register the runner of subcommand ``name``: ``rows`` are its (flag,
-    add_argument keywords) pairs, ``formats`` its --format choices, and
+    add_argument keywords) pairs, or functions that return such pairs
+    when the parser is built, ``formats`` its --format choices, and
     ``scalar`` marks a runner that returns a bare value."""
 
     def register(run):
@@ -226,15 +191,24 @@ _FAMILY = (
     _flag("--exponent-budget", type=int, default=None),
     *_SEQUENCE,
 )
-_SEARCH = (
-    _flag("--restarts", type=int, default=ExtremalConfig.restarts),
-    _flag("--max-iter", type=int, default=ExtremalConfig.max_iter),
-    _flag("--seed", type=int, default=ExtremalConfig.seed),
-    _flag("--oversample", type=int, default=ExtremalConfig.oversample),
-)
 
 
-def _sequence_from_args(args) -> LacunarySequence:
+def _search_flags() -> tuple:
+    """The search flags, their defaults read from ``ExtremalConfig`` when
+    a search command's parser is built."""
+    from .extremal import ExtremalConfig
+
+    return (
+        _flag("--restarts", type=int, default=ExtremalConfig.restarts),
+        _flag("--max-iter", type=int, default=ExtremalConfig.max_iter),
+        _flag("--seed", type=int, default=ExtremalConfig.seed),
+        _flag("--oversample", type=int, default=ExtremalConfig.oversample),
+    )
+
+
+def _sequence_from_args(args):
+    from .lacunary import LacunarySequence, geometric_sequence
+
     if args.terms is not None:
         terms = tuple(_parse_list(args.terms))
         if args.lam is None:
@@ -247,12 +221,16 @@ def _sequence_from_args(args) -> LacunarySequence:
 
 
 def _context_from_args(args):
+    from .inverse import TrigContext, WalshContext
+
     if args.kind == "trig":
         return TrigContext(sequence=_sequence_from_args(args), order=args.l, d=args.d)
     return WalshContext(order=args.l)
 
 
 def _family_from_args(args):
+    from .extremal import trig_family, walsh_family
+
     if args.family == "walsh":
         if args.exponent_budget is None:
             raise InvalidInputError("walsh family needs --exponent-budget")
@@ -260,7 +238,9 @@ def _family_from_args(args):
     return trig_family(_sequence_from_args(args), args.l)
 
 
-def _extremal_config(args) -> ExtremalConfig:
+def _extremal_config(args):
+    from .extremal import ExtremalConfig
+
     return ExtremalConfig(
         restarts=args.restarts,
         max_iter=args.max_iter,
@@ -271,6 +251,8 @@ def _extremal_config(args) -> ExtremalConfig:
 
 @_command("lambda", _L, scalar=True)
 def _run_lambda(args):
+    from .lacunary import critical_lambda
+
     return critical_lambda(args.l)
 
 
@@ -280,17 +262,23 @@ def _run_lambda(args):
     _flag("--lam", type=str, required=True),
 )
 def _run_validate(args):
+    from .lacunary import validate_lacunary
+
     return validate_lacunary(_parse_list(args.terms), Fraction(args.lam))
 
 
 @_command("enumerate", *_SEQUENCE, _L, _VARIANT)
 def _run_enumerate(args):
+    from .lacunary import enumerate_index_set
+
     seq = _sequence_from_args(args)
     return enumerate_index_set(seq, args.l, args.variant).to_json_dict()
 
 
 @_command("reps", *_SEQUENCE, _M, _L, _VARIANT)
 def _run_reps(args):
+    from .lacunary import representations
+
     found = representations(_sequence_from_args(args), args.m, args.l, args.variant)
     return {
         "m": args.m,
@@ -304,12 +292,16 @@ def _run_reps(args):
 
 @_command("heads", *_SEQUENCE, _L, _VARIANT)
 def _run_heads(args):
+    from .lacunary import enumerate_index_set, head_partition
+
     iset = enumerate_index_set(_sequence_from_args(args), args.l, args.variant)
     return head_partition(iset).to_json_dict()
 
 
 @_command("counterexample", _L, _flag("--m-max", type=int, required=True))
 def _run_counterexample(args):
+    from .lacunary import counterexample_sequence
+
     seq, report = counterexample_sequence(args.l, args.m_max)
     return {**report, "terms": [str(t) for t in seq.terms]}
 
@@ -322,6 +314,8 @@ def _run_counterexample(args):
     scalar=True,
 )
 def _run_walsh_shift(args):
+    from .walsh import DyadicPoint, WalshIndex, shift_sum
+
     return shift_sum(
         WalshIndex.from_value(args.n),
         WalshIndex.from_value(args.m),
@@ -336,6 +330,9 @@ def _run_walsh_shift(args):
     scalar=True,
 )
 def _run_find_alpha(args):
+    from .measure import IntervalSet
+    from .walsh import find_alpha
+
     E = IntervalSet.parse(args.set)
     point = find_alpha(E, tuple(_parse_list(args.exponents)))
     return "absent" if point is None else point.as_fraction()
@@ -349,6 +346,8 @@ def _run_find_alpha(args):
     scalar=True,
 )
 def _run_recover(args):
+    from .walsh import DyadicPoint, WalshIndex, recover_coefficient
+
     S = _load_poly(args.poly, "walsh")
     return recover_coefficient(
         S, WalshIndex.from_value(args.m), DyadicPoint.parse(args.alpha)
@@ -359,6 +358,8 @@ def _run_recover(args):
     "norm", _POLY, _KIND, _P, _flag("--oversample", type=int, default=8), scalar=True
 )
 def _run_norm(args):
+    from .trig import lp_norm_trig, lp_norm_walsh
+
     S = _load_poly(args.poly, args.kind)
     if args.kind == "trig":
         return lp_norm_trig(S, args.p, oversample=args.oversample)
@@ -367,6 +368,8 @@ def _run_norm(args):
 
 @_command("ratio", _POLY, _KIND, _P, scalar=True)
 def _run_ratio(args):
+    from .trig import khintchine_ratio
+
     return khintchine_ratio(_load_poly(args.poly, args.kind), args.p)
 
 
@@ -376,6 +379,8 @@ def _run_ratio(args):
     _flag("--signs", type=_INT_LIST, default=None),
 )
 def _run_riesz(args):
+    from .trig import riesz_product
+
     freqs = tuple(_parse_list(args.freqs))
     signs = (
         tuple(_parse_list(args.signs))
@@ -387,17 +392,24 @@ def _run_riesz(args):
 
 @_command("project", _M, _flag("--freqs", type=_INT_LIST, required=True), scalar=True)
 def _run_project(args):
+    from .trig import modulation_projection
+
     return modulation_projection(args.m, tuple(_parse_list(args.freqs)))
 
 
 @_command("energy", _POLY, _KIND, _SET, scalar=True)
 def _run_energy(args):
+    from .measure import IntervalSet, energy_on_set
+
     S = _load_poly(args.poly, args.kind)
     return energy_on_set(S, IntervalSet.parse(args.set))
 
 
 @_command("inverse-check", _POLY, _SET, *_CONTEXT)
 def _run_inverse_check(args):
+    from .inverse import inverse_parseval_check
+    from .measure import IntervalSet
+
     S = _load_poly(args.poly, args.kind)
     report = inverse_parseval_check(
         S, IntervalSet.parse(args.set), _context_from_args(args)
@@ -406,6 +418,8 @@ def _run_inverse_check(args):
 
 
 def _matrix_from_args(args, coeffs):
+    from .inverse import build_summation_matrix
+
     order = sorted(coeffs) if args.order is None else _parse_list(args.order)
     data = {}
     if args.matrix_kind != "prefix-of-rearrangement":
@@ -439,6 +453,9 @@ def _matrix_from_args(args, coeffs):
     formats=("json", "csv"),
 )
 def _run_matrix_experiment(args):
+    from .inverse import inverse_bound_experiment
+    from .measure import IntervalSet
+
     poly = _load_poly(args.coeffs, args.kind)
     coeffs = dict(poly.coefficients)
     matrix = _matrix_from_args(args, coeffs)
@@ -458,8 +475,10 @@ def _run_matrix_experiment(args):
     return _jsonl_text(args, rows + [{"summary": summary}])
 
 
-@_command("extremal", *_FAMILY, _P, *_SEARCH)
+@_command("extremal", *_FAMILY, _P, _search_flags)
 def _run_extremal(args):
+    from .extremal import maximize_ratio
+
     result = maximize_ratio(_family_from_args(args), args.p, _extremal_config(args))
     return result.to_json_dict()
 
@@ -468,10 +487,12 @@ def _run_extremal(args):
     "growth",
     *_FAMILY,
     _flag("--p-list", type=_FLOAT_LIST, required=True),
-    *_SEARCH,
+    _search_flags,
     formats=("json", "csv"),
 )
 def _run_growth(args):
+    from .extremal import growth_exponent
+
     report = growth_exponent(
         _family_from_args(args),
         _parse_list(args.p_list, float),
@@ -491,6 +512,8 @@ def _run_growth(args):
     formats=("json", "csv"),
 )
 def _run_blowup(args):
+    from .extremal import blowup_probe
+
     report = blowup_probe(
         args.l, args.p, _parse_list(args.degree_list), seed=args.seed
     )
@@ -512,6 +535,7 @@ def _build_parser(name: str, rows: tuple, formats: tuple):
         _flag("--format", type=str, default="json", choices=formats),
         _flag("--config", type=str, default=None, help="key=value config file"),
     )
+    rows = [r for row in rows for r in (row() if callable(row) else (row,))]
     actions = {}
     for flag, kwargs in rows:
         action = parser.add_argument(flag, **kwargs)

@@ -34,8 +34,9 @@ from .lacunary import (
     enumerate_index_set,
     geometric_sequence,
 )
-from .trig import _GridSpace, _as_oversample, _exact_size, _grid_size, _next_smooth, _trig_rows
-from .walsh import _CellSpace, _symmetric_ratio, _walsh_rows
+from .engine import _CellSpace, _GridSpace
+from .trig import _as_oversample, _exact_size, _grid_size, _next_smooth, _trig_rows
+from .walsh import _symmetric_ratio, _walsh_rows
 
 EPS_REG = 1e-14
 # the tangent part of a gradient this much smaller than the gradient is

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidInputError, ResourceError
 from .lacunary import _as_fraction, _as_int, _as_key
 from .trig import TrigPolynomial
@@ -198,6 +196,8 @@ _BLOCK = 256
 
 def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
     # c^T Phi conj(c), not conj(c)^T Phi c: that is the energy of S(-x) on -E
+    import numpy as np
+
     keys = list(coefficients)
     _as_float(max(keys, default=0) - min(keys, default=0))  # so every t - s fits
     ends = [x for interval in E.intervals for x in interval]
@@ -229,6 +229,8 @@ def _walsh_energy(cell_values, scale: int, E: IntervalSet) -> float:
     # Per interval: the two partial end cells, plus one pairwise numpy sum
     # over the whole cells between them, so each piece is summed from its
     # own start and nothing cancels.
+    import numpy as np
+
     n = 1 << scale
     sq = np.square(cell_values)
     total = 0.0

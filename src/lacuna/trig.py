@@ -1,23 +1,22 @@
 """Trigonometric and Walsh polynomial numerics.
 
-Grid synthesis via the FFT, L^p norms (exact where the structure
-permits, quadrature otherwise), cosine-product expansion, Riesz
-products with exact dyadic-rational coefficients, the modulation
-projection factor, and Walsh-sign decoration of chaos sums.
+L^p norms (exact where the structure permits, quadrature on the grid
+or the cells of ``engine`` otherwise), the grid sizes the quadrature
+and the search take, cosine-product expansion, Riesz products with
+exact dyadic-rational coefficients, the modulation projection factor,
+and Walsh-sign decoration of chaos sums.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
-    AliasingError,
     InvalidInputError,
     InvalidSupportError,
     ResourceError,
@@ -31,7 +30,7 @@ from .lacunary import (
     _as_sign,
     _ratio_violation,
 )
-from .walsh import DyadicPoint, WalshPolynomial, _sign, _symmetric_ratio
+from .walsh import DyadicPoint, WalshPolynomial, _compact_digits, _sign, _symmetric_ratio
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class TrigPolynomial:
         return float(sum(abs(complex(c)) ** 2 for c in self.coefficients.values()))
 
     def norm2(self) -> float:
-        return float(np.sqrt(self.mass))
+        return math.sqrt(self.mass)
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -95,14 +94,6 @@ def _trig_rows(coefficients: Mapping[int, complex]) -> list[dict]:
         c = complex(coefficients[m])
         rows.append({"freq": m, "re": c.real, "im": c.imag})
     return rows
-
-
-@dataclass(frozen=True)
-class GridEvaluation:
-    """Values of a polynomial on the equispaced grid j/size."""
-
-    size: int
-    values: np.ndarray
 
 
 def _as_oversample(oversample) -> int:
@@ -148,55 +139,6 @@ def _next_smooth(n: int) -> int:
     return best
 
 
-class _GridSpace:
-    """Trig polynomials on a fixed frequency list, synthesized on the
-    N-point grid j/N by an inverse FFT; the forward FFT is the adjoint.
-
-    Requires N > 2 * degree so that frequencies do not alias and the
-    grid determines the polynomial.  Like the cells of ``walsh._CellSpace``,
-    grids are capped at 2^24 points.
-    """
-
-    dtype = complex
-
-    def __init__(self, freqs: Sequence[int], size: int):
-        self.freqs = list(freqs)
-        degree = max((abs(m) for m in self.freqs), default=0)
-        if size <= 2 * degree:
-            raise AliasingError(
-                f"grid of {size} points cannot resolve degree {degree}; need N > 2*degree"
-            )
-        if size > 1 << 24:
-            raise ResourceError(f"grid of {size} points exceeds the cap of 2^24")
-        self.size = size
-        # distinct, since N > 2 * degree
-        self._bins = np.array([m % size for m in self.freqs], dtype=np.int64)
-
-    def values(self, vec) -> np.ndarray:
-        spectrum = np.zeros(self.size, dtype=np.complex128)
-        spectrum[self._bins] = vec
-        return np.fft.ifft(spectrum) * self.size
-
-    def adjoint_mean(self, weights: np.ndarray) -> np.ndarray:
-        """Mean of weights against e^{2 pi i m x} for each frequency m."""
-        hat = np.fft.fft(weights) / self.size
-        return hat[self._bins]
-
-
-def evaluate_grid(S: TrigPolynomial, N: int) -> GridEvaluation:
-    """Synthesize S on the N-point uniform grid; needs N > 2 * degree."""
-    space = _GridSpace(S.coefficients, N)
-    values = space.values([complex(c) for c in S.coefficients.values()])
-    return GridEvaluation(size=N, values=values)
-
-
-def grid_to_coefficients(grid: GridEvaluation, freqs: Sequence[int]) -> dict[int, complex]:
-    """Recover coefficients at the given frequencies from grid values."""
-    freqs = list(freqs)
-    hat = _GridSpace(freqs, grid.size).adjoint_mean(grid.values)
-    return {m: complex(c) for m, c in zip(freqs, hat)}
-
-
 def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
     """L^p norm over [0, 1), finite p >= 1, by uniform-grid quadrature.
 
@@ -206,43 +148,37 @@ def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
     above 2 * degree when that is smaller; it is never larger.  p == 2
     bypasses the grid and returns the exact Parseval value.
     """
+    from .engine import _GridSpace, _lp_norm
+
     N = _grid_size(S.degree, oversample)
-    return _lp_norm(
-        S, p, lambda: evaluate_grid(S, _exact_size(S.coefficients, p, N)).values
-    )
+
+    def values():
+        space = _GridSpace(S.coefficients, _exact_size(S.coefficients, p, N))
+        return space.values([complex(c) for c in S.coefficients.values()])
+
+    return _lp_norm(S, p, values)
 
 
 def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
     """Exact L^p norm, finite p >= 1, via the cell values; p == 2 is Parseval.
 
-    When every coefficient is equal and the support is every order-l
-    index over its digit positions, the norm is the L^2 norm times the
-    Krawtchouk-sum ratio of ``walsh._symmetric_ratio``: no cells are
-    built, so no cell cap applies.
+    The n distinct digit positions of the support are relabelled 1..n
+    first (``walsh._compact_digits``), which leaves the norm unchanged,
+    so the cells number 2**n and the cap of 2**24 cells applies to n,
+    not to the finest digit.  When every coefficient is equal and the
+    support is every order-l index over its digit positions, the norm
+    is the L^2 norm times the Krawtchouk-sum ratio of
+    ``walsh._symmetric_ratio``: no cells are built, so no cell cap
+    applies.
     """
+    from .engine import _cell_values, _lp_norm
+
     p = _as_exponent(p)
     if p != 2 and len(set(S.coefficients.values())) == 1:
         ratio = _symmetric_ratio(list(S.coefficients), p)
         if ratio is not None:
             return ratio * S.norm2()
-    return _lp_norm(S, p, S.cell_values)
-
-
-def _lp_norm(S, p: float, values) -> float:
-    """0 for the zero polynomial, Parseval at p == 2, else mean(|v|^p)^(1/p)
-    over v = values() as M mean((|v|/M)^p)^(1/p), M = max |v|, so that no
-    power overflows at large p or large values."""
-    p = _as_exponent(p)
-    if not S.coefficients:
-        return 0.0
-    if p == 2:
-        return S.norm2()
-    mod = np.abs(values())
-    top = float(mod.max())
-    if top == 0.0:
-        return 0.0
-    mod /= top
-    return top * float(np.mean(mod**p)) ** (1.0 / p)
+    return _lp_norm(S, p, lambda: _cell_values(_compact_digits(S.coefficients)))
 
 
 def khintchine_ratio(S, p: float) -> float:

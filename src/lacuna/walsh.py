@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import InvalidInputError, InvalidOrderError, ResourceError
 from .lacunary import _as_int, _as_key
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .measure import IntervalSet
 
 
@@ -179,54 +179,25 @@ def _reversed_mask(m: int, scale: int) -> int:
     return mask
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform, natural (Hadamard) order."""
-    n = values.size
-    h = 1
-    while h < n:
-        view = values.reshape(-1, 2 * h)
-        left = view[:, :h]
-        right = view[:, h:]
-        tmp = left - right
-        left += right
-        right[:] = tmp
-        h *= 2
-    return values
-
-
 def _max_scale(values_m) -> int:
     return max((m.bit_length() - 1 for m in values_m if m), default=0)
 
 
-class _CellSpace:
-    """Walsh polynomials on a fixed index list, evaluated exactly on the
-    2**scale cells of [0, 1), scale the finest digit of the index list,
-    by the fast transform, which is also (up to the cell count) its own
-    adjoint.
+def _compact_digits(coefficients: Mapping[int, float]) -> Mapping[int, float]:
+    """The coefficients with their n distinct digit positions relabelled
+    1..n in order, the same map when they already are.
+
+    A Walsh polynomial's law depends only on the joint law of the
+    Rademachers it uses, so every L^p norm survives the relabelling,
+    and the cells number 2**n, not 2**max_scale.
     """
-
-    dtype = float
-
-    def __init__(self, values_m: Sequence[int]):
-        self.freqs = list(values_m)
-        scale = _max_scale(self.freqs)
-        if scale > 24:
-            raise ResourceError("cell enumeration is capped at scale 24")
-        self.size = 1 << scale
-        self._masks = np.array(
-            [_reversed_mask(m, scale) for m in self.freqs], dtype=np.int64
-        )
-
-    def values(self, vec) -> np.ndarray:
-        cells = np.zeros(self.size, dtype=np.float64)
-        cells[self._masks] = vec
-        return _fwht(cells)
-
-    def adjoint_mean(self, weights: np.ndarray) -> np.ndarray:
-        """Mean of weights against w_m for each index m."""
-        work = weights.astype(float, copy=True)
-        _fwht(work)
-        return work[self._masks] / self.size
+    digits = sorted({k for m in coefficients for k in _exponents_of(m)})
+    if not digits or digits[-1] == len(digits):
+        return coefficients
+    rank = {k: i for i, k in enumerate(digits, start=1)}
+    return {
+        sum(1 << rank[k] for k in _exponents_of(m)): a for m, a in coefficients.items()
+    }
 
 
 # even integer exponents up to this one take the exact integer moment
@@ -333,8 +304,9 @@ class WalshPolynomial:
 
     def cell_values(self) -> np.ndarray:
         """Values on the 2**max_scale cells, via the fast transform."""
-        space = _CellSpace(self.coefficients)
-        return space.values(np.array(list(self.coefficients.values()), dtype=np.float64))
+        from .engine import _cell_values
+
+        return _cell_values(self.coefficients)
 
     @property
     def mass(self) -> float:
@@ -342,7 +314,7 @@ class WalshPolynomial:
         return float(sum(float(a) ** 2 for a in self.coefficients.values()))
 
     def norm2(self) -> float:
-        return float(np.sqrt(self.mass))
+        return math.sqrt(self.mass)
 
     def to_json_dict(self) -> dict:
         return {"coefficients": _walsh_rows(self.coefficients)}
@@ -406,6 +378,8 @@ def shift_sum_bulk(
     Vectorized over int64 bit masks, so all exponents and alpha scales
     must stay below 63.
     """
+    import numpy as np
+
     scale = max(
         [m.exponents[0]]
         + [n.exponents[0] for n in ns]

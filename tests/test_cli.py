@@ -758,3 +758,70 @@ def test_missing_sequence_flags_are_2_with_payload(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "invalid-input"
     assert "--lam" in payload["message"]
+
+
+# --- the numpy boundary ---------------------------------------------------
+
+# the README lines that do no float work, and the error paths every
+# command shares: each runs with numpy unimportable
+INTEGER_COMMANDS = (
+    "lambda", "validate", "enumerate", "reps", "heads", "counterexample",
+    "walsh-shift", "find-alpha", "recover", "riesz", "project",
+)
+BLOCKED_RUN = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "sys.argv = ['lacuna', *sys.argv[1:]]\n"
+    "runpy.run_module('lacuna.cli', run_name='__main__')\n"
+)
+
+
+def run_without_numpy(argv):
+    """(exit code, stdout, stderr) of ``python -m lacuna.cli argv`` in a
+    fresh interpreter where importing numpy fails."""
+    import subprocess
+    import sys
+
+    import lacuna
+
+    src = os.path.dirname(os.path.dirname(lacuna.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_RUN, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("name", INTEGER_COMMANDS)
+def test_integer_readme_line_runs_without_numpy(capsys, tmp_path, name):
+    argv = readme_argv(tmp_path, name)
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0
+    assert run_without_numpy(argv) == want
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param([], 64, id="no-arguments"),
+        pytest.param(["nope"], 64, id="unknown-subcommand"),
+        pytest.param(["lambda", "--config", "bad.cfg"], 65, id="malformed-config"),
+        pytest.param(
+            ["validate", "--terms", "2,4,8", "--lam", "3", "--nope", "1"],
+            2,
+            id="invalid-flag",
+        ),
+    ],
+)
+def test_error_paths_run_without_numpy(capsys, tmp_path, argv, code):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("l 3\n")
+    argv = [str(bad) if token == "bad.cfg" else token for token in argv]
+    want = run_cli(capsys, *argv)
+    assert want[0] == code and want[1] == ""
+    assert json.loads(want[2])["error"]
+    assert run_without_numpy(argv) == want

@@ -42,8 +42,9 @@ from lacuna import (
     walsh_family,
 )
 from lacuna import extremal
+from lacuna.engine import _CellSpace
 from lacuna.extremal import RunSummary, _power_state
-from lacuna.walsh import _CellSpace, _symmetric_ratio
+from lacuna.walsh import _symmetric_ratio
 
 EPS_REG = 1e-14
 

@@ -383,12 +383,12 @@ def test_walsh_energy_of_a_thin_interval_keeps_relative_accuracy():
 
 
 def test_walsh_energy_cap_precedes_cell_evaluation(monkeypatch):
-    import lacuna.walsh
+    import lacuna.engine
 
     def refuse(self, vec):
         raise AssertionError("cells evaluated before the scale cap")
 
-    monkeypatch.setattr(lacuna.walsh._CellSpace, "values", refuse)
+    monkeypatch.setattr(lacuna.engine._CellSpace, "values", refuse)
     with pytest.raises(ResourceError):
         energy_on_set(WalshPolynomial({2**22: 1.0}), IntervalSet.full())
 

@@ -26,15 +26,20 @@ from lacuna import (
     decorate_with_walsh_signs,
     dyadic_sequence,
     enumerate_index_set,
-    evaluate_grid,
     geometric_sequence,
-    grid_to_coefficients,
     khintchine_ratio,
     lp_norm_trig,
     lp_norm_walsh,
     modulation_projection,
     riesz_product,
 )
+from lacuna.engine import _GridSpace
+
+
+def synthesize(poly: TrigPolynomial, N: int) -> np.ndarray:
+    """poly on the N-point grid j/N, as the norms and the search take it."""
+    space = _GridSpace(poly.coefficients, N)
+    return space.values([complex(c) for c in poly.coefficients.values()])
 
 
 def oracle_lp(poly: TrigPolynomial, p: float, n: int = 40011) -> float:
@@ -50,43 +55,38 @@ def oracle_lp(poly: TrigPolynomial, p: float, n: int = 40011) -> float:
 
 
 def test_grid_single_exponential_is_roots_of_unity():
-    poly = TrigPolynomial({1: 1.0})
-    grid = evaluate_grid(poly, 8)
+    values = synthesize(TrigPolynomial({1: 1.0}), 8)
     want = np.exp(2j * np.pi * np.arange(8) / 8)
-    assert np.allclose(grid.values, want, atol=1e-12)
+    assert np.allclose(values, want, atol=1e-12)
 
 
 def test_grid_constant():
-    poly = TrigPolynomial({0: 3.5})
-    grid = evaluate_grid(poly, 4)
-    assert np.allclose(grid.values, 3.5, atol=1e-14)
+    values = synthesize(TrigPolynomial({0: 3.5}), 4)
+    assert np.allclose(values, 3.5, atol=1e-14)
 
 
 def test_grid_two_sided_cosine():
-    poly = TrigPolynomial({1: 1.0, -1: 1.0})
-    grid = evaluate_grid(poly, 8)
+    values = synthesize(TrigPolynomial({1: 1.0, -1: 1.0}), 8)
     want = 2 * np.cos(2 * np.pi * np.arange(8) / 8)
-    assert np.allclose(grid.values, want, atol=1e-12)
+    assert np.allclose(values, want, atol=1e-12)
 
 
 def test_grid_requires_enough_points():
-    poly = TrigPolynomial({4: 1.0})
     with pytest.raises(AliasingError):
-        evaluate_grid(poly, 8)
+        synthesize(TrigPolynomial({4: 1.0}), 8)
 
 
 def test_grid_coefficients_refuse_aliased_frequencies():
-    grid = evaluate_grid(TrigPolynomial({4: 1.0}), 16)
     with pytest.raises(AliasingError):
-        grid_to_coefficients(grid, [4, 8])
+        _GridSpace([4, 8], 16)
 
 
 def test_grid_roundtrip():
     poly = TrigPolynomial({4: 1.5 - 0.5j, -16: 2.0, 20: 0.125j})
-    grid = evaluate_grid(poly, 64)
-    back = grid_to_coefficients(grid, [4, -16, 20])
-    for m, c in poly.coefficients.items():
-        assert back[m] == pytest.approx(complex(c), abs=1e-12)
+    values = synthesize(poly, 64)
+    back = _GridSpace([4, -16, 20], 64).adjoint_mean(values)
+    for m, b in zip([4, -16, 20], back):
+        assert b == pytest.approx(complex(poly.coefficients[m]), abs=1e-12)
 
 
 # --- norms ----------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_lp_at_even_p_matches_a_fine_grid(signed):
     for _ in range(10):
         keys = rng.choice(np.arange(-400 if signed else 1, 401), size=7, replace=False)
         poly = TrigPolynomial({int(m): complex(*rng.standard_normal(2)) for m in keys})
-        fine = np.abs(evaluate_grid(poly, 64 * (2 * poly.degree + 1)).values)
+        fine = np.abs(synthesize(poly, 64 * (2 * poly.degree + 1)))
         for p in (4, 6, 8, 16):
             want = float(np.mean(fine**p)) ** (1 / p)
             assert lp_norm_trig(poly, p) == pytest.approx(want, rel=1e-12), p
@@ -172,7 +172,7 @@ def test_grid_cap_raises_before_allocating():
         with pytest.raises(ResourceError):
             lp_norm_trig(poly, 3)
         with pytest.raises(ResourceError):
-            evaluate_grid(poly, 8 * (2 * poly.degree + 1))
+            synthesize(poly, 8 * (2 * poly.degree + 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -180,8 +180,6 @@ def test_grid_cap_raises_before_allocating():
     # p = 2 needs no grid, so the cap does not apply
     assert lp_norm_trig(poly, 2) == poly.norm2()
     # the cap is 2^24 points; the space allocates nothing until it evaluates
-    from lacuna.trig import _GridSpace
-
     assert _GridSpace([1], 1 << 24).size == 1 << 24
     with pytest.raises(ResourceError):
         _GridSpace([1], (1 << 24) + 1)
@@ -232,6 +230,40 @@ def test_walsh_lp_on_an_equal_full_family_has_no_cell_cap():
     ):
         with pytest.raises(ResourceError, match="scale 24"):
             lp_norm_walsh(WalshPolynomial(coeffs), 8)
+
+
+def test_walsh_lp_cells_number_two_to_the_distinct_digits():
+    # digits 30 and 1: values +-1 +-2 on 4 cells, far below the cap
+    poly = WalshPolynomial({2**30: 1.0, 2: 2.0})
+    assert lp_norm_walsh(poly, 3) == pytest.approx(14 ** (1 / 3), rel=1e-15)
+    assert khintchine_ratio(poly, 3) == pytest.approx(14 ** (1 / 3) / 5**0.5, rel=1e-15)
+    # r1 (r30 + 1): +-2 on half the cells, 0 elsewhere
+    poly = WalshPolynomial({2**30 + 2: 1.0, 2: 1.0})
+    assert lp_norm_walsh(poly, 3) == pytest.approx(4 ** (1 / 3), rel=1e-15)
+    assert khintchine_ratio(poly, 3) == pytest.approx(4 ** (1 / 3) / 2**0.5, rel=1e-15)
+
+
+def test_walsh_lp_relabelled_digits_match_the_full_cells():
+    from lacuna.engine import _lp_norm
+    from lacuna.walsh import _compact_digits
+
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        digits = rng.choice(np.arange(1, 17), size=int(rng.integers(2, 7)), replace=False)
+        coeffs = {}
+        for _ in range(int(rng.integers(1, 9))):
+            order = int(rng.integers(1, min(3, len(digits)) + 1))
+            chosen = rng.choice(digits, size=order, replace=False)
+            coeffs[sum(1 << int(k) for k in chosen)] = float(rng.standard_normal())
+        poly = WalshPolynomial(coeffs)
+        for p in (1, 3, 4, 7.5):
+            full = _lp_norm(poly, p, poly.cell_values)
+            assert lp_norm_walsh(poly, p) == pytest.approx(full, rel=1e-13), (coeffs, p)
+    # digits already 1..n: the same map, so the norm is bit-identical
+    coeffs = {6: 0.5, 10: -1.25, 12: 2.0, 18: 0.75, 20: -0.5, 24: 1.5}
+    assert _compact_digits(coeffs) is coeffs
+    poly = WalshPolynomial(coeffs)
+    assert lp_norm_walsh(poly, 3) == _lp_norm(poly, 3, poly.cell_values)
 
 
 def test_lp_norms_do_not_overflow_at_large_p():
@@ -361,9 +393,9 @@ def test_riesz_constant_coefficient_exactly_one():
 
 def test_riesz_is_nonnegative_on_grid():
     poly = riesz_product([4, 16, 64], [-1, 1, -1])
-    grid = evaluate_grid(poly, 512)
-    assert np.min(grid.values.real) >= -1e-9
-    assert np.max(np.abs(grid.values.imag)) < 1e-10
+    values = synthesize(poly, 512)
+    assert np.min(values.real) >= -1e-9
+    assert np.max(np.abs(values.imag)) < 1e-10
 
 
 def test_riesz_matches_pointwise_product():
