@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,19 +128,46 @@ def critical_lambda_bracket(l: int, bits: int = 64) -> tuple[Fraction, Fraction]
     The bracket width is 2**-bits (zero for ``l == 2``, where the value
     is exactly 1).  Useful when floors of huge multiples of lambda_l
     must be certified.
+
+    ``lo * 2**bits`` is the largest numerator whose `_critical_sign` is
+    negative, floor(lambda_l * 2**bits), and ``hi`` is one step above it:
+    the bracket a bisection over the numerators would reach.  It is found
+    in O(log bits) big-integer steps: float Newton from x = 2 (the
+    polynomial is convex and increasing on [lambda_l, 2], so it descends
+    onto lambda_l), integer Newton steps on `_critical_sign` at precisions
+    that double up to ``bits``, then exact sign steps to that numerator.
     """
     l = _as_order(l)
     bits = _as_int(bits, 1, "bits")
     if l == 2:
         return Fraction(1), Fraction(1)
-    lo, hi = 1 << bits, 2 << bits  # numerators over 2^bits
-    for _ in range(bits):
-        mid = (lo + hi) >> 1
-        if _critical_sign(l, mid, bits) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+    # Newton step for x^l - 2 x^{l-1} + 1, both sides divided by x^{l-2}
+    # so that no power overflows for large l
+    x = 2.0
+    for _ in range(64):
+        step = x * (x - 2 + x ** (1 - l)) / (l * x - 2 * (l - 1))
+        if not step > 0:
+            break
+        x -= step
+    # each precision is half the next plus 16 guard bits, so one Newton
+    # step per precision keeps the numerator within a unit or two
+    ladder = []
+    k = bits
+    while k > 48:
+        ladder.append(k)
+        k = (k >> 1) + 16
+    num = int(x * (1 << k))
+    for p in reversed(ladder):
+        num <<= p - k
+        k = p
+        slope = num ** (l - 2) * (l * num - (l - 1) * (2 << k))
+        num -= _critical_sign(l, num, k) // slope
+    num = min(max(num, (1 << bits) + 1), (2 << bits) - 1)
+    while _critical_sign(l, num, bits) >= 0:
+        num -= 1
+    while _critical_sign(l, num + 1, bits) < 0:
+        num += 1
+    return Fraction(num, 1 << bits), Fraction(num + 1, 1 << bits)
 
 
 def _ratio_violation(terms, lam: Fraction) -> int | None:
@@ -261,12 +287,12 @@ class SignedRepresentation:
     @classmethod
     def _trusted(cls, indices, signs, value, head) -> "SignedRepresentation":
         """The enumerators' constructor: fields they have just built
-        correctly, set without the re-check."""
+        correctly, set through the slot descriptors without the re-check."""
         rep = object.__new__(cls)
-        object.__setattr__(rep, "indices", indices)
-        object.__setattr__(rep, "signs", signs)
-        object.__setattr__(rep, "value", value)
-        object.__setattr__(rep, "head", head)
+        _set_indices(rep, indices)
+        _set_signs(rep, signs)
+        _set_value(rep, value)
+        _set_head(rep, head)
         return rep
 
     @classmethod
@@ -279,6 +305,12 @@ class SignedRepresentation:
             raise InvalidInputError(f"index {indices[0]} is past the {len(terms)} terms")
         value = sum(s * terms[i] for i, s in zip(indices, signs))
         return cls._trusted(indices, signs, value, signs[0] * terms[indices[0]])
+
+
+_set_indices, _set_signs, _set_value, _set_head = (
+    SignedRepresentation.__dict__[name].__set__
+    for name in ("indices", "signs", "value", "head")
+)
 
 
 def _normalize_variant(variant: str) -> tuple[str, bool]:
@@ -366,7 +398,14 @@ def enumerate_index_set(
     Returns
     -------
     ChaosIndexSet
-        With ALL representations of every value, not just one witness.
+        With ALL representations of every value, not just one witness,
+        each value's in (order, indices, signs) order; keys follow the
+        first representation of each value.
+
+    Each combination's 2^s signed sums are built by doubling one list.
+    When every value is distinct, ``entries`` is one dict of
+    one-representation tuples.  Collided values, the ones with several
+    representations, are the only ones grouped and sorted.
     """
     base, star = _normalize_variant(variant)
     l = _as_order(l, 1)
@@ -377,28 +416,35 @@ def enumerate_index_set(
         )
     if base == "dyadic":
         _require_dyadic_ladder(seq)
-    sign_choices = (1, -1) if base == "signed" else (1,)
+    signed = base == "signed"
     orders = range(1, l + 1) if star else (l,)
     trusted = SignedRepresentation._trusted
-    collected: dict[int, list[SignedRepresentation]] = {}
+    values: list[int] = []
+    singletons: list[tuple[SignedRepresentation]] = []
     for s in orders:
-        sign_tuples = tuple(itertools.product(sign_choices, repeat=s))
+        sign_tuples = tuple(itertools.product((1, -1) if signed else (1,), repeat=s))
         for combo in itertools.combinations(range(len(terms)), s):
             indices = combo[::-1]
-            picked = [terms[i] for i in indices]
-            lead = picked[0]
-            for signs in sign_tuples:
-                value = sum(map(operator.mul, signs, picked))
-                rep = trusted(indices, signs, value, signs[0] * lead)
-                reps = collected.get(value)
-                if reps is None:
-                    collected[value] = [rep]
-                else:
-                    reps.append(rep)
-    entries = {
-        v: tuple(sorted(reps, key=_REP_SORT_KEY) if len(reps) > 1 else reps)
-        for v, reps in collected.items()
-    }
+            # the sums in sign_tuples order: the first sign varies slowest
+            sums = [0]
+            for i in indices:
+                t = terms[i]
+                sums = [v + d for v in sums for d in (t, -t)] if signed else [sums[0] + t]
+            lead = terms[indices[0]]
+            values += sums
+            singletons += [
+                (trusted(indices, signs, v, signs[0] * lead),)
+                for signs, v in zip(sign_tuples, sums)
+            ]
+    entries = dict(zip(values, singletons))
+    if len(entries) < len(values):
+        collected: dict[int, list[SignedRepresentation]] = {}
+        for v, (rep,) in zip(values, singletons):
+            collected.setdefault(v, []).append(rep)
+        entries = {
+            v: tuple(sorted(reps, key=_REP_SORT_KEY) if len(reps) > 1 else reps)
+            for v, reps in collected.items()
+        }
     return ChaosIndexSet(variant=variant, order=l, sequence=seq, entries=entries)
 
 
@@ -584,10 +630,13 @@ def head_partition(index_set: ChaosIndexSet) -> HeadPartitionReport:
             f"witness {seq.lam} is at or below the order-{l} critical ratio; "
             "head blocks are not separated"
         )
-    # a*lead < |v| < b*lead, cross-multiplied once into integers
+    # a*lead < |v| < b*lead, cross-multiplied into integers, with a_n*lead
+    # and b_n*lead taken once per term
     a_n, a_d = a.numerator, a.denominator
     b_n, b_d = b.numerator, b.denominator
     terms = seq.terms
+    lower = [a_n * t for t in terms]
+    upper = [b_n * t for t in terms]
     entries = index_set.entries
     blocks: dict[int, list[int]] = {}
     ambiguous: list[int] = []
@@ -596,26 +645,25 @@ def head_partition(index_set: ChaosIndexSet) -> HeadPartitionReport:
         reps = entries[value]
         canonical = reps[0]
         key = canonical.signs[0] * (canonical.indices[0] + 1)
-        if any(r.signs[0] * (r.indices[0] + 1) != key for r in reps):
+        if len(reps) > 1 and any(r.signs[0] * (r.indices[0] + 1) != key for r in reps):
             ambiguous.append(value)
         blocks.setdefault(key, []).append(value)
         mag = abs(value)
+        low, high = a_d * mag, b_d * mag
         for r in reps:
-            lead = terms[r.indices[0]]
-            if l == 1:
-                ok = mag == lead
-            else:
-                ok = a_n * lead < a_d * mag and b_d * mag < b_n * lead
-            if not ok:
+            i = r.indices[0]
+            if not (terms[i] == mag if l == 1 else lower[i] < low and high < upper[i]):
                 violations.append(value)
+                break
+    # values() is sorted and distinct, so both lists already are
     return HeadPartitionReport(
         order=l,
         a=a,
         b=b,
         blocks={j: tuple(vals) for j, vals in blocks.items()},
-        ambiguous=tuple(sorted(set(ambiguous))),
+        ambiguous=tuple(ambiguous),
         containment_ok=not violations,
-        violations=tuple(sorted(set(violations))),
+        violations=tuple(violations),
     )
 
 
@@ -645,18 +693,22 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
     bits = int(3.33 * l * m_max) + 2 * l + 16
     for _attempt in range(4):
         lo, hi = critical_lambda_bracket(l, bits)
+        # (numerator^k, denominator^k, 3^k) of each end, taken once per bracket
+        powers = [
+            (lo.numerator**k, lo.denominator**k, hi.numerator**k, hi.denominator**k, 3**k)
+            for k in range(1, l)
+        ]
         groups: dict[int, list[int]] = {}
         certified = True
         for m in range(lo_m, m_max + 1):
             scale = 10 ** (m * l)
             group = []
-            for k in range(1, l):
-                f_lo = scale * lo.numerator**k // lo.denominator**k
-                f_hi = scale * hi.numerator**k // hi.denominator**k
-                if f_lo != f_hi:
+            for lo_n, lo_d, hi_n, hi_d, offset in powers:
+                f_lo = scale * lo_n // lo_d
+                if f_lo != scale * hi_n // hi_d:
                     certified = False
                     break
-                group.append(f_lo + 3**k)
+                group.append(f_lo + offset)
             if not certified:
                 break
             group.append(m + sum(group))

@@ -5,6 +5,7 @@ top of this file (brute-force enumeration, closed-form roots, scipy
 bisection) before being compared with the library.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -108,6 +109,27 @@ def test_critical_bracket_contains_root():
         root = oracle_critical(l)
         assert float(lo) <= root <= float(hi) or abs(float(lo) - root) < 1e-14
     assert critical_lambda_bracket(2) == (Fraction(1), Fraction(1))
+
+
+def bisection_bracket(l: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Plain bisection over the numerators N / 2^bits in [1, 2] on the sign
+    of x^l - 2 x^{l-1} + 1, which is negative on (1, lambda_l) and
+    positive on (lambda_l, 2]."""
+    lo, hi = 1 << bits, 2 << bits
+    two, one = 2 << bits, 1 << (bits * l)
+    for _ in range(bits):
+        mid = (lo + hi) >> 1
+        if mid ** (l - 1) * (mid - two) + one < 0:
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
+@pytest.mark.parametrize("l", range(3, 9))
+def test_critical_bracket_equals_bisection(l):
+    for bits in (1, 2, 3, 50, 51, 64, 100, 1000, 3018):
+        assert critical_lambda_bracket(l, bits) == bisection_bracket(l, bits), bits
 
 
 # --- validation and sequence type ----------------------------------------
@@ -227,6 +249,40 @@ def test_enumerated_representations_equal_the_checked_build(variant):
             assert r == SignedRepresentation.build(seq.terms, r.indices, r.signs)
             assert r.value == m
         assert list(reps) == sorted(reps, key=lambda r: (r.order, r.indices, r.signs))
+
+
+def reference_index_set(seq, l, variant):
+    """Every SignedRepresentation.build of the variant's sign patterns,
+    grouped by value in enumeration order, each value's list sorted."""
+    star = variant.endswith("-star")
+    sign_choices = (1, -1) if variant.startswith("signed") else (1,)
+    grouped = {}
+    for s in range(1, l + 1) if star else (l,):
+        for combo in itertools.combinations(range(len(seq.terms)), s):
+            for signs in itertools.product(sign_choices, repeat=s):
+                rep = SignedRepresentation.build(seq.terms, combo[::-1], signs)
+                grouped.setdefault(rep.value, []).append(rep)
+    key = lambda r: (r.order, r.indices, r.signs)  # noqa: E731
+    return {v: tuple(sorted(reps, key=key)) for v, reps in grouped.items()}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_enumerate_index_set_equals_the_grouped_reference(variant):
+    if variant.startswith("dyadic"):
+        cases = [(dyadic_sequence(6), False)]
+    else:
+        # range(1, 9) collides on many values; powers of 4 collide on none
+        cases = [
+            (LacunarySequence(range(1, 9), lam=Fraction(1, 2)), True),
+            (geometric_sequence(4, 6), False),
+        ]
+    for seq, collides in cases:
+        iset = enumerate_index_set(seq, 3, variant)
+        want = reference_index_set(seq, 3, variant)
+        assert iset.entries == want
+        assert list(iset.entries) == list(want)
+        reps = sum(len(r) for r in want.values())
+        assert (len(want) < reps) == collides
 
 
 # --- representations ------------------------------------------------------
@@ -395,6 +451,23 @@ def test_head_partition_bounds_are_strict():
     assert report.blocks == {2: (8, 9, 24)}
 
 
+def test_head_partition_lists_values_with_two_heads_as_ambiguous():
+    # lam = 7/5 at order 2 gives a = 2/7 and b = 12/7: 5 = 3 + 2 = 8 - 3
+    # lies inside the bounds of both heads 3 and 8, and 11 = 8 + 3 has one
+    seq = LacunarySequence((2, 3, 5, 8), lam=Fraction(7, 5))
+    build = SignedRepresentation.build
+    entries = {
+        5: (build(seq.terms, (1, 0), (1, 1)), build(seq.terms, (3, 1), (1, -1))),
+        11: (build(seq.terms, (3, 1), (1, 1)),),
+    }
+    iset = ChaosIndexSet(variant="signed", order=2, sequence=seq, entries=entries)
+    report = head_partition(iset)
+    assert (report.a, report.b) == (Fraction(2, 7), Fraction(12, 7))
+    assert report.ambiguous == (5,)
+    assert report.blocks == {2: (5,), 4: (11,)}
+    assert report.containment_ok and report.violations == ()
+
+
 def test_head_partition_rejects_subcritical():
     iset = enumerate_index_set(dyadic_sequence(4), 2, "dyadic")
     with pytest.raises(PreconditionError):
@@ -433,6 +506,25 @@ def test_counterexample_order_three():
     lo = Fraction(report["lambda_bracket"][0])
     for a, b in zip(seq.terms, seq.terms[1:]):
         assert Fraction(b, a) > lo
+
+
+def test_counterexample_order_three_is_pinned():
+    # digests of the sequence and bracket that the bisection bracket and
+    # per-m powers produced; lambda_3 is the golden ratio, x^2 = x + 1
+    seq, report = counterexample_sequence(3, 120)
+    terms = ",".join(map(str, seq.terms)).encode()
+    bracket = ",".join(report["lambda_bracket"]).encode()
+    assert len(seq.terms) == 3 * (120 - 27 + 1)
+    assert hashlib.sha256(terms).hexdigest() == (
+        "a69ef3c4f922477e020c207bf4c33a589ce9013a3fa6b5130377057488576c0a"
+    )
+    assert report["bracket_bits"] == 1220
+    assert hashlib.sha256(bracket).hexdigest() == (
+        "0f710dfa82fb73fb9bdcceeb2ed130bbcc8dc56336854db61210e457416ff5d4"
+    )
+    lo, hi = map(Fraction, report["lambda_bracket"])
+    assert hi - lo == Fraction(1, 2**1220)
+    assert lo * lo < lo + 1 and hi * hi > hi + 1
 
 
 def test_counterexample_guards():
