@@ -141,8 +141,8 @@ def critical_lambda_bracket(l: int, bits: int = 64) -> tuple[Fraction, Fraction]
     bits = _as_int(bits, 1, "bits")
     if l == 2:
         return Fraction(1), Fraction(1)
-    # Newton step for x^l - 2 x^{l-1} + 1, both sides divided by x^{l-2}
-    # so that no power overflows for large l
+    # the Newton step f/f' for f = x^l - 2 x^{l-1} + 1, with f and f'
+    # divided by x^{l-2} so that no power overflows for large l
     x = 2.0
     for _ in range(64):
         step = x * (x - 2 + x ** (1 - l)) / (l * x - 2 * (l - 1))

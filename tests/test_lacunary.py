@@ -509,8 +509,8 @@ def test_counterexample_order_three():
 
 
 def test_counterexample_order_three_is_pinned():
-    # digests of the sequence and bracket that the bisection bracket and
-    # per-m powers produced; lambda_3 is the golden ratio, x^2 = x + 1
+    # pinned digests of the decimal terms and of the bracket; lambda_3 is
+    # the golden ratio, the root of x^2 = x + 1 in (1, 2)
     seq, report = counterexample_sequence(3, 120)
     terms = ",".join(map(str, seq.terms)).encode()
     bracket = ",".join(report["lambda_bracket"]).encode()
