@@ -16,9 +16,9 @@ import itertools
 import math
 import numbers
 import warnings
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import (
     InsufficientTermsError,
@@ -330,12 +330,87 @@ def _require_dyadic_ladder(seq: LacunarySequence) -> None:
         )
 
 
+class _Entries(Mapping):
+    """The read-only value -> representations map of a `ChaosIndexSet`,
+    stored as columns with one item per representation.
+
+    ``_values``, ``_indices`` and ``_signs`` hold each representation's
+    value, index tuple and sign tuple; ``_where`` maps each value, in key
+    order, to its representation's position, or to the tuple of its
+    positions when it has several.  A lookup builds the value's
+    representations, with head signs[0] * terms[indices[0]].
+    """
+
+    __slots__ = ("_terms", "_values", "_indices", "_signs", "_where", "_sorted")
+
+    def __init__(self, terms, values, indices, signs, where):
+        self._terms = terms
+        self._values = values
+        self._indices = indices
+        self._signs = signs
+        self._where = where
+        self._sorted = None
+
+    @classmethod
+    def from_mapping(cls, terms, entries: Mapping) -> "_Entries":
+        """The columns of a plain value -> representations mapping, in its
+        key and representation order."""
+        values, indices, signs, where = [], [], [], {}
+        for value, reps in entries.items():
+            start = len(values)
+            for r in reps:
+                i = r.indices[0]
+                if i >= len(terms) or r.head != r.signs[0] * terms[i]:
+                    raise InvalidInputError(
+                        f"representation {r} does not lead with a signed term of the sequence"
+                    )
+                values.append(r.value)
+                indices.append(r.indices)
+                signs.append(r.signs)
+            stop = len(values)
+            where[value] = start if stop == start + 1 else tuple(range(start, stop))
+        return cls(terms, values, indices, signs, where)
+
+    def _sorted_values(self) -> list:
+        if self._sorted is None:
+            self._sorted = sorted(self._where)
+        return self._sorted
+
+    def __getitem__(self, value) -> tuple[SignedRepresentation, ...]:
+        where = self._where[value]
+        reps = []
+        for p in (where,) if type(where) is int else where:
+            indices, signs = self._indices[p], self._signs[p]
+            head = signs[0] * self._terms[indices[0]]
+            reps.append(SignedRepresentation._trusted(indices, signs, self._values[p], head))
+        return tuple(reps)
+
+    def __iter__(self):
+        return iter(self._where)
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+    def __contains__(self, value) -> bool:
+        return value in self._where
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class ChaosIndexSet:
     """All values of (signed) l-wise sums over a sequence prefix.
 
-    ``entries`` maps each reachable value to the tuple of all its
-    representations; star variants union the orders 1..l.
+    ``entries`` is a read-only Mapping from each reachable value to the
+    tuple of all its representations; star variants union the orders
+    1..l.  It is stored as columns (see `enumerate_index_set`), and a
+    value's `SignedRepresentation`s are built each time it is looked up:
+    equal across lookups, but not the same objects.  A plain Mapping
+    passed in is converted into the same columns once, keeping its key
+    and representation order; each representation must lead with a
+    signed term of ``sequence``.  ``values()`` sorts the keys once per
+    set and returns a fresh list on every call.
     """
 
     variant: str
@@ -343,8 +418,13 @@ class ChaosIndexSet:
     sequence: LacunarySequence
     entries: Mapping[int, tuple[SignedRepresentation, ...]]
 
+    def __post_init__(self):
+        if not isinstance(self.entries, _Entries):
+            entries = _Entries.from_mapping(self.sequence.terms, self.entries)
+            object.__setattr__(self, "entries", entries)
+
     def values(self) -> list[int]:
-        return sorted(self.entries)
+        return list(self.entries._sorted_values())
 
     def __contains__(self, m: int) -> bool:
         return m in self.entries
@@ -377,6 +457,24 @@ class ChaosIndexSet:
 _REP_SORT_KEY = lambda r: (r.order, r.indices, r.signs)  # noqa: E731
 
 
+def _combination_sums(terms, signed, start, depth, below, low, values, index_col) -> None:
+    """Extend ``values`` by the sums of every combination that puts ``depth``
+    more indices, increasing from ``start``, above the indices ``below``
+    (whose sums are ``low``), and ``index_col`` by each sum's index tuple,
+    in `itertools.combinations` order and each combination's sums in
+    `itertools.product` sign order."""
+    for c in range(start, len(terms) - depth + 1):
+        t = terms[c]
+        indices = (c,) + below
+        # the sign of c, the leading term, varies slowest
+        sums = [x + t for x in low] + [x - t for x in low] if signed else [low[0] + t]
+        if depth > 1:
+            _combination_sums(terms, signed, c + 1, depth - 1, indices, sums, values, index_col)
+        else:
+            values.extend(sums)
+            index_col.extend((indices,) * len(sums))
+
+
 def enumerate_index_set(
     seq: LacunarySequence,
     l: int,
@@ -402,10 +500,17 @@ def enumerate_index_set(
         each value's in (order, indices, signs) order; keys follow the
         first representation of each value.
 
-    Each combination's 2^s signed sums are built by doubling one list.
-    When every value is distinct, ``entries`` is one dict of
-    one-representation tuples.  Collided values, the ones with several
-    representations, are the only ones grouped and sorted.
+    The set is kept as columns, one item per representation in
+    enumeration order (combinations in `itertools.combinations` order,
+    then sign patterns in `itertools.product` order): its value; its
+    index tuple, one per combination and shared by that combination's
+    2^s sign patterns; and its sign tuple, one per pattern and shared by
+    every combination.  No object is built per representation.  A
+    combination's signed sums extend those of its lower indices, which
+    are taken once for every combination sharing them.  A map takes each
+    value to its position; a collided value, one with several
+    representations, maps to the tuple of its positions, sorted by
+    (order, indices, signs).
     """
     base, star = _normalize_variant(variant)
     l = _as_order(l, 1)
@@ -417,34 +522,25 @@ def enumerate_index_set(
     if base == "dyadic":
         _require_dyadic_ladder(seq)
     signed = base == "signed"
-    orders = range(1, l + 1) if star else (l,)
-    trusted = SignedRepresentation._trusted
+    n = len(terms)
     values: list[int] = []
-    singletons: list[tuple[SignedRepresentation]] = []
-    for s in orders:
-        sign_tuples = tuple(itertools.product((1, -1) if signed else (1,), repeat=s))
-        for combo in itertools.combinations(range(len(terms)), s):
-            indices = combo[::-1]
-            # the sums in sign_tuples order: the first sign varies slowest
-            sums = [0]
-            for i in indices:
-                t = terms[i]
-                sums = [v + d for v in sums for d in (t, -t)] if signed else [sums[0] + t]
-            lead = terms[indices[0]]
-            values += sums
-            singletons += [
-                (trusted(indices, signs, v, signs[0] * lead),)
-                for signs, v in zip(sign_tuples, sums)
-            ]
-    entries = dict(zip(values, singletons))
-    if len(entries) < len(values):
-        collected: dict[int, list[SignedRepresentation]] = {}
-        for v, (rep,) in zip(values, singletons):
-            collected.setdefault(v, []).append(rep)
-        entries = {
-            v: tuple(sorted(reps, key=_REP_SORT_KEY) if len(reps) > 1 else reps)
-            for v, reps in collected.items()
-        }
+    index_col: list[tuple[int, ...]] = []
+    sign_col: list[tuple[int, ...]] = []
+    for s in range(1, l + 1) if star else (l,):
+        _combination_sums(terms, signed, 0, s, (), [0], values, index_col)
+        patterns = tuple(itertools.product((1, -1) if signed else (1,), repeat=s))
+        sign_col += patterns * math.comb(n, s)
+    where = dict(zip(values, range(len(values))))
+    if len(where) < len(values):
+        # each key holds its last position so far; gather the earlier ones
+        groups: dict[int, list[int]] = {}
+        for p in [p for p, v in enumerate(values) if where[v] != p]:
+            groups.setdefault(values[p], [where[values[p]]]).append(p)
+        for v, positions in groups.items():
+            where[v] = tuple(
+                sorted(positions, key=lambda p: (len(index_col[p]), index_col[p], sign_col[p]))
+            )
+    entries = _Entries(terms, values, index_col, sign_col, where)
     return ChaosIndexSet(variant=variant, order=l, sequence=seq, entries=entries)
 
 
@@ -612,11 +708,15 @@ def head_partition(index_set: ChaosIndexSet) -> HeadPartitionReport:
     deterministic enumeration order) representation; the two-sided
     containment is then asserted for EVERY representation, so the
     report certifies the full head-dominance property.  ``a`` and ``b``
-    are split once into numerators and denominators, and each
-    representation is checked on cross-multiplied integers
-    (a_n*lead < a_d*|m| and b_d*|m| < b_n*lead), with no `Fraction`
-    arithmetic.  Values whose representations disagree on the head are
-    listed as ambiguous.
+    are split once into numerators and denominators, and containment is
+    checked on cross-multiplied integers (a_n*lead < a_d*|m| and
+    b_d*|m| < b_n*lead), with no `Fraction` arithmetic.  Heads and lead
+    positions are read from the set's columns.  The bounds are monotone
+    in |m|, so a block's canonical representations are checked through
+    its smallest and largest |m|, and value by value only when one of
+    those fails; the other representations of a collided value are
+    checked one by one.  Values whose representations disagree on the
+    head are listed as ambiguous.
 
     Raises ``PreconditionError`` when the sequence witness does not
     exceed the critical ratio for the set's order (the lower bound
@@ -638,32 +738,49 @@ def head_partition(index_set: ChaosIndexSet) -> HeadPartitionReport:
     lower = [a_n * t for t in terms]
     upper = [b_n * t for t in terms]
     entries = index_set.entries
-    blocks: dict[int, list[int]] = {}
-    ambiguous: list[int] = []
-    violations: list[int] = []
-    for value in index_set.values():
-        reps = entries[value]
-        canonical = reps[0]
-        key = canonical.signs[0] * (canonical.indices[0] + 1)
-        if len(reps) > 1 and any(r.signs[0] * (r.indices[0] + 1) != key for r in reps):
-            ambiguous.append(value)
-        blocks.setdefault(key, []).append(value)
-        mag = abs(value)
-        low, high = a_d * mag, b_d * mag
-        for r in reps:
-            i = r.indices[0]
-            if not (terms[i] == mag if l == 1 else lower[i] < low and high < upper[i]):
-                violations.append(value)
-                break
-    # values() is sorted and distinct, so both lists already are
+    where, index_col, sign_col = entries._where, entries._indices, entries._signs
+
+    def head(p: int) -> int:
+        return sign_col[p][0] * (index_col[p][0] + 1)
+
+    def outside(i: int, mag: int) -> bool:
+        return not (terms[i] == mag if l == 1 else lower[i] < a_d * mag and b_d * mag < upper[i])
+
+    # each value joins the block of its canonical, first, representation
+    firsts = [w if type(w) is int else w[0] for w in where.values()]
+    keys = list(map(head, firsts))
+    grouped: dict[int, list[int]] = {key: [] for key in keys}
+    for value, key in zip(where, keys):
+        grouped[key].append(value)
+    # the bounds hold for every |m| of a block when they hold for its
+    # smallest and largest
+    violations = set()
+    for key, members in grouped.items():
+        i = abs(key) - 1
+        mags = list(map(abs, members))
+        if outside(i, min(mags)) or outside(i, max(mags)):
+            violations.update(v for v, mag in zip(members, mags) if outside(i, mag))
+    # the other representations, present when the columns outnumber
+    # the values
+    ambiguous = []
+    if len(entries._values) > len(where):
+        for value, positions in where.items():
+            if type(positions) is not int:
+                if any(head(p) != head(positions[0]) for p in positions):
+                    ambiguous.append(value)
+                if any(outside(index_col[p][0], abs(value)) for p in positions):
+                    violations.add(value)
+    ambiguous.sort()
+    # blocks hold sorted values and come in the order of their smallest one
+    blocks = sorted((sorted(members), key) for key, members in grouped.items())
     return HeadPartitionReport(
         order=l,
         a=a,
         b=b,
-        blocks={j: tuple(vals) for j, vals in blocks.items()},
+        blocks={key: tuple(members) for members, key in blocks},
         ambiguous=tuple(ambiguous),
         containment_ok=not violations,
-        violations=tuple(violations),
+        violations=tuple(sorted(violations)),
     )
 
 

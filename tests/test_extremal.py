@@ -46,8 +46,6 @@ from lacuna.engine import _CellSpace
 from lacuna.extremal import RunSummary, _power_state
 from lacuna.walsh import _symmetric_ratio
 
-EPS_REG = 1e-14
-
 
 def numeric_gradient(coeffs, index_set, p, h=1e-6):
     """Central finite differences of the regularized grid objective."""

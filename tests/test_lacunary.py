@@ -5,9 +5,11 @@ top of this file (brute-force enumeration, closed-form roots, scipy
 bisection) before being compared with the library.
 """
 
+import gc
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from scipy.optimize import brentq
 
 from lacuna import (
     ChaosIndexSet,
+    HeadPartitionReport,
     InsufficientTermsError,
     InvalidInputError,
     InvalidOrderError,
@@ -283,6 +286,125 @@ def test_enumerate_index_set_equals_the_grouped_reference(variant):
         assert list(iset.entries) == list(want)
         reps = sum(len(r) for r in want.values())
         assert (len(want) < reps) == collides
+
+
+def test_enumeration_builds_no_object_per_representation():
+    seq = geometric_sequence(4, 20)
+    reps = 2**3 * math.comb(20, 3)  # 9120, every value distinct
+    before = len(gc.get_objects())
+    iset = enumerate_index_set(seq, 3)
+    grown = len(gc.get_objects()) - before
+    assert len(iset) == reps
+    assert grown < reps // 2, grown
+
+
+def reference_json(iset, plain):
+    """to_json_dict as it reads off a plain value -> representations dict."""
+    return {
+        "variant": iset.variant,
+        "order": iset.order,
+        "sequence": list(iset.sequence.terms),
+        "entries": [
+            {
+                "value": v,
+                "representations": [
+                    {"indices": list(r.indices), "signs": list(r.signs)} for r in plain[v]
+                ],
+            }
+            for v in sorted(plain)
+        ],
+    }
+
+
+def reference_heads(seq, l, plain):
+    """The head partition of a plain dict, in Fraction arithmetic: blocks by
+    the first representation's signed 1-based lead position, in the order
+    of the sorted values."""
+    tail = sum(Fraction(seq.lam) ** -t for t in range(1, l))
+    a, b = 1 - tail, 1 + tail
+    blocks, ambiguous, violations = {}, [], []
+    for v in sorted(plain):
+        heads = [r.signs[0] * (r.indices[0] + 1) for r in plain[v]]
+        if len(set(heads)) > 1:
+            ambiguous.append(v)
+        blocks.setdefault(heads[0], []).append(v)
+        leads = [seq.terms[r.indices[0]] for r in plain[v]]
+        if not all(a * n < abs(v) < b * n for n in leads):
+            violations.append(v)
+    return HeadPartitionReport(
+        order=l,
+        a=a,
+        b=b,
+        blocks={j: tuple(vals) for j, vals in blocks.items()},
+        ambiguous=tuple(ambiguous),
+        containment_ok=not violations,
+        violations=tuple(violations),
+    )
+
+
+def test_hand_built_index_sets_match_the_dict_they_came_from():
+    distinct = enumerate_index_set(geometric_sequence(4, 6), 3)
+    # 5 = 3 + 2 = 8 - 3 and 3 = 5 - 2 = 8 - 5 collide above lambda_2 = 1
+    colliding = enumerate_index_set(LacunarySequence((2, 3, 5, 8), Fraction(7, 5)), 2)
+    assert any(len(reps) > 1 for reps in colliding.entries.values())
+    cases = []
+    for full in (distinct, colliding):
+        plain = dict(full.entries.items())
+        cases.append((full, plain))
+        # keys and each value's representations in reverse: kept as given
+        backwards = {v: reps[::-1] for v, reps in reversed(plain.items())}
+        cases.append((full, backwards))
+        # a subset through dataclasses.replace
+        values = full.values()
+        cases.append((full, {m: full.entries[m] for m in values[1::2]}))
+    # hand-set values against lam = 2, a = 1/2, b = 3/2: 24 lies on lead
+    # 16's upper bound, and 40 leads with 64 but lies outside lead 16's
+    # bounds in its second representation, whose head differs
+    seq = LacunarySequence((4, 16, 64), lam=2)
+    rep = SignedRepresentation
+    odd = {
+        40: (rep((2, 0), (1, 1), 40, 64), rep((1, 0), (1, 1), 40, 16)),
+        9: (rep((1, 0), (1, 1), 9, 16),),
+        24: (rep((1, 0), (1, 1), 24, 16),),
+        -9: (rep((1, 0), (-1, 1), -9, -16),),
+    }
+    cases.append((ChaosIndexSet("signed", 2, seq, {}), odd))
+    assert reference_heads(seq, 2, odd).violations == (24, 40)
+    assert reference_heads(seq, 2, odd).ambiguous == (40,)
+    for full, plain in cases:
+        for built in (
+            ChaosIndexSet(full.variant, full.order, full.sequence, plain),
+            replace(full, entries=plain),
+        ):
+            assert built.entries == plain and plain == built.entries
+            assert list(built.entries) == list(plain)
+            assert list(built.entries.items()) == list(plain.items())
+            assert all(built.entries.get(v) == reps for v, reps in plain.items())
+            assert built.entries.get(0.5) is None and 0.5 not in built
+            assert len(built) == len(plain)
+            values = built.values()
+            assert values == sorted(plain)
+            values.append(0)  # the next call is a fresh list
+            assert built.values() == sorted(plain)
+            assert built.to_json_dict() == reference_json(built, plain)
+            report = head_partition(built)
+            want = reference_heads(full.sequence, full.order, plain)
+            assert report == want
+            assert list(report.blocks) == list(want.blocks)
+    # the enumerated sets themselves agree with their dicts
+    for full in (distinct, colliding):
+        assert head_partition(full) == reference_heads(
+            full.sequence, full.order, dict(full.entries.items())
+        )
+
+
+def test_hand_built_representation_must_lead_with_a_sequence_term():
+    seq = geometric_sequence(4, 3)
+    past = SignedRepresentation((3, 0), (1, 1), 260, 256)
+    wrong_head = SignedRepresentation((1, 0), (1, 1), 20, 17)
+    for rep in (past, wrong_head):
+        with pytest.raises(InvalidInputError, match="lead with a signed term"):
+            ChaosIndexSet("signed", 2, seq, {rep.value: (rep,)})
 
 
 # --- representations ------------------------------------------------------
