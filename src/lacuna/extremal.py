@@ -38,7 +38,6 @@ from .engine import _CellSpace, _GridSpace
 from .trig import _as_oversample, _exact_size, _grid_size, _next_smooth, _trig_rows
 from .walsh import _symmetric_ratio, _walsh_rows
 
-EPS_REG = 1e-14
 # the tangent part of a gradient this much smaller than the gradient is
 # roundoff: a seeded start that lands on a symmetric point, such as the
 # all-equal vector of a full dyadic family, sits near 2e-16
@@ -163,15 +162,9 @@ def _make_space(values, dyadic: bool, oversample: int, p=None):
     return _GridSpace(values, size if p is None else _exact_size(values, p, size))
 
 
-def _objective(space, vec: np.ndarray, p: float) -> float:
-    v = space.values(vec)
-    a = np.abs(v) ** 2 + EPS_REG
-    return float(np.mean(a ** (p / 2)))
-
-
 def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
-    """Gradient of F(c) = mean (|S_c|^2 + eps)^(p/2) over the search's grid
-    at p (``ExtremalConfig.oversample``, or the exact grid at even p).
+    """Gradient of F(c) = mean |S_c|^p over the search's grid at p
+    (``ExtremalConfig.oversample``, or the exact grid at even p).
 
     The returned complex entry at m packs dF/dRe(c_m) + i dF/dIm(c_m);
     for dyadic supports the coefficients are real and so is the
@@ -203,24 +196,27 @@ def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
 
 
 def _power_state(space, vec: np.ndarray, p: float):
-    """log F, the L^p/L^2 ratio, grad F / (p M^(p-1)) and M at vec.
+    """log F, the L^p/L^2 ratio, grad F / (p M^(p-1)) and M at vec, for
+    F = mean |S|^p over the grid values v of S.
 
     One forward and one adjoint transform.  M is the largest modulus of
-    the grid values, which are scaled by it before any power is taken,
-    so nothing overflows at large p: F = M^p mean(((|v|^2 + eps) /
-    M^2)^(p/2)).  ``ratio_gradient`` multiplies the gradient back by
-    p M^(p-1); the power step only needs its direction.  Work arrays are
-    updated in place, and dropped before the adjoint, to keep at most
-    three grid-sized arrays alive.
+    v, which is scaled by it before any power is taken, so nothing
+    overflows at large p: with s = |v|^2 / M^2, F = M^p mean(s^(p/2)),
+    and that one moment gives both log F and the ratio.  The search runs
+    at p > 2, so s^((p-2)/2) is finite at the zeros of S.
+    ``ratio_gradient`` multiplies the gradient back by p M^(p-1); the
+    power step only needs its direction.  Work arrays are updated in
+    place, and dropped before the adjoint, to keep at most three
+    grid-sized arrays alive.
     """
     v = space.values(vec)
     s = np.abs(v)
     m = float(s.max())
     s /= m
     s *= s
-    ratio = float(np.mean(s ** (p / 2))) ** (1.0 / p) / float(np.mean(s)) ** 0.5
-    s += EPS_REG / m**2
-    log_f = p * np.log(m) + np.log(float(np.mean(s ** (p / 2))))
+    moment = float(np.mean(s ** (p / 2)))
+    ratio = moment ** (1.0 / p) / float(np.mean(s)) ** 0.5
+    log_f = p * np.log(m) + np.log(moment)
     s **= (p - 2) / 2
     v /= m
     weights = s * v
@@ -266,25 +262,16 @@ def _random_start(space, seed_pair) -> np.ndarray:
 
 
 def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig):
-    """Best ratio over the restarts, and the all-equal start's ratio, for
-    a p, config and nonempty support that the caller has checked."""
-    values = sorted(values)
-    kind = "walsh" if dyadic else "trig"
-    if len(values) == 1:
+    """The runs of the search, each (vector, ratio, iterations, stop
+    reason) with the all-equal start first, and the all-equal start's
+    ratio, for a p, config and sorted nonempty support that the caller
+    has checked."""
+    n = len(values)
+    if n == 1:
         # a single frequency has constant modulus, so the ratio is 1 by
         # definition and no search is needed
-        coeff = 1.0 if dyadic else complex(1.0)
-        result = ExtremalResult(
-            coefficients={values[0]: coeff},
-            ratio=1.0,
-            p=float(p),
-            iterations=0,
-            stop_reason="stationary",
-            kind=kind,
-            runs=(RunSummary("equal", 0, "stationary", 1.0),),
-        )
-        return result, 1.0
-    n = len(values)
+        one = np.ones(1, dtype=float if dyadic else complex)
+        return [(one, 1.0, 0, "stationary")], 1.0
     probe = _symmetric_ratio(values, p) if dyadic else None
     if probe is None or config.restarts > 1:
         space = _make_space(values, dyadic, config.oversample, p)
@@ -302,34 +289,23 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
         start = _random_start(space, (config.seed, r))
         state = _power_state(space, start, p)
         runs.append(_ascend(space, start, state, p, config.max_iter))
-    summaries = tuple(
-        RunSummary("equal" if r == 0 else r, iters, reason, float(ratio))
-        for r, (_, ratio, iters, reason) in enumerate(runs)
-    )
-    # max keeps the earliest of equal ratios, so ties go to the warm start
-    best_vec, best_ratio, best_iters, best_reason = max(runs, key=lambda run: run[1])
-    result = ExtremalResult(
-        coefficients={m: c.item() for m, c in zip(values, best_vec)},
-        ratio=float(best_ratio),
-        p=float(p),
-        iterations=best_iters,
-        stop_reason=best_reason,
-        kind=kind,
-        runs=summaries,
-    )
-    return result, probe
+    return runs, probe
+
+
+def _best_ratio(runs) -> float:
+    return float(max(ratio for _, ratio, _, _ in runs))
 
 
 def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     """Best found L^p/L^2 ratio over unit coefficient vectors.
 
     Power iteration on the unit sphere, c <- grad F(c) / |grad F(c)|
-    for F(c) = mean (|S_c|^2 + eps)^(p/2), started from the all-equal
-    vector and from seeded Gaussian draws.  Each run stops when the
-    gradient is stationary, a step does not raise F, the relative gain
-    falls under 1e-10, or ``max_iter`` is reached; ``stop_reason`` says
-    which.  Each run keeps its best iterate and the first run starts at
-    the all-equal vector, so the returned ratio never falls below that
+    for F(c) = mean |S_c|^p, started from the all-equal vector and from
+    seeded Gaussian draws.  Each run stops when the gradient is
+    stationary, a step does not raise F, the relative gain falls under
+    1e-10, or ``max_iter`` is reached; ``stop_reason`` says which.
+    Each run keeps its best iterate and the first run starts at the
+    all-equal vector, so the returned ratio never falls below that
     certified warm start.  ``runs`` summarizes every start.
 
     A full dyadic family, every order-l index over its digit positions,
@@ -353,10 +329,22 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     p = _as_exponent(p, search=True)
     index_set = _index_set(index_set)
     config = config or ExtremalConfig()
-    result, _ = _maximize_over_values(
-        index_set.values(), index_set.is_dyadic, p, config
+    values = index_set.values()
+    runs, _ = _maximize_over_values(values, index_set.is_dyadic, p, config)
+    # max keeps the earliest of equal ratios, so ties go to the warm start
+    vec, ratio, iterations, stop_reason = max(runs, key=lambda run: run[1])
+    return ExtremalResult(
+        coefficients={m: c.item() for m, c in zip(values, vec)},
+        ratio=float(ratio),
+        p=float(p),
+        iterations=iterations,
+        stop_reason=stop_reason,
+        kind="walsh" if index_set.is_dyadic else "trig",
+        runs=tuple(
+            RunSummary("equal" if r == 0 else r, iters, reason, float(run_ratio))
+            for r, (_, run_ratio, iters, reason) in enumerate(runs)
+        ),
     )
-    return result
 
 
 @dataclass(frozen=True)
@@ -420,14 +408,12 @@ def growth_exponent(
     skipped = []
     for p in p_list:
         try:
-            result, probe = _maximize_over_values(
-                values, index_set.is_dyadic, p, config
-            )
+            runs, probe = _maximize_over_values(values, index_set.is_dyadic, p, config)
         except LacunaError as exc:
             skipped.append((float(p), type(exc).__name__))
             continue
         used_p.append(float(p))
-        ratios.append(result.ratio)
+        ratios.append(_best_ratio(runs))
         probe_ratios.append(probe)
     if len(used_p) < 2:
         raise InsufficientDataError(
@@ -516,9 +502,11 @@ def blowup_probe(
     critical = sorted((s * m for m in cover["witnesses"] for s in (1, -1)), key=abs)
     rows = []
     for budget in budgets:
-        r_crit, _ = _maximize_over_values(critical[:budget], False, p, config)
-        r_ctrl, _ = _maximize_over_values(control[:budget], False, p, config)
-        rows.append(BlowupRow(budget, r_crit.ratio, r_ctrl.ratio))
+        ratio_crit, ratio_ctrl = (
+            _best_ratio(_maximize_over_values(sorted(side[:budget]), False, p, config)[0])
+            for side in (critical, control)
+        )
+        rows.append(BlowupRow(budget, ratio_crit, ratio_ctrl))
     ratios_crit = [r.ratio_critical for r in rows]
     slopes = [
         _fit_line(np.log(budgets), np.log(side))[0] if len(budgets) > 1 else None

@@ -47,9 +47,14 @@ from lacuna.extremal import RunSummary, _power_state
 from lacuna.walsh import _symmetric_ratio
 
 
+def objective(space, vec, p):
+    """The search's objective F = mean |S|^p over the grid or cells."""
+    return float(np.mean(np.abs(space.values(vec)) ** p))
+
+
 def numeric_gradient(coeffs, index_set, p, h=1e-6):
-    """Central finite differences of the regularized grid objective."""
-    from lacuna.extremal import _make_space, _objective
+    """Central finite differences of the grid objective F."""
+    from lacuna.extremal import _make_space
 
     values = index_set.values()
     space = _make_space(values, index_set.is_dyadic, 8)
@@ -64,16 +69,16 @@ def numeric_gradient(coeffs, index_set, p, h=1e-6):
     for i, m in enumerate(values):
         bumped = base.copy()
         bumped[i] = base[i] + h
-        up = _objective(space, bumped, p)
+        up = objective(space, bumped, p)
         bumped[i] = base[i] - h
-        down = _objective(space, bumped, p)
+        down = objective(space, bumped, p)
         g = (up - down) / (2 * h)
         if space.dtype is complex:
             bumped = base.copy()
             bumped[i] = base[i] + 1j * h
-            up_i = _objective(space, bumped, p)
+            up_i = objective(space, bumped, p)
             bumped[i] = base[i] - 1j * h
-            down_i = _objective(space, bumped, p)
+            down_i = objective(space, bumped, p)
             g = g + 1j * (up_i - down_i) / (2 * h)
         out[m] = g
     return out
@@ -89,8 +94,8 @@ def walsh_pairs(budget):
 
 
 def test_gradient_single_frequency_closed_form():
-    """With one frequency the objective is (|c|^2 + eps)^(p/2), whose
-    radial derivative is p*|c|^(p-1) up to the regularizer."""
+    """With one frequency the objective is |c|^p, whose radial
+    derivative is p*|c|^(p-1)."""
     seq = geometric_sequence(4, 3)
     iset = enumerate_index_set(seq, 1, "positive")
     m = sorted(iset.values())[0]
@@ -132,8 +137,8 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_homogeneity():
-    """F is p-homogeneous away from the regularizer, so doubling the
-    vector scales the gradient by 2^(p-1)."""
+    """F is p-homogeneous, so doubling the vector scales the gradient
+    by 2^(p-1)."""
     iset = walsh_pairs(5)
     values = sorted(iset.values())[:4]
     coeffs = {m: 0.5 + 0.25 * i for i, m in enumerate(values)}
@@ -185,6 +190,10 @@ def test_maximize_single_value_is_trivial():
     result = maximize_ratio(single, 4.0)
     assert result.ratio == 1.0
     assert len(iset.values()) == 3  # sanity: full set is larger
+    [coeff] = result.coefficients.values()
+    assert type(coeff) is complex and coeff == 1
+    [coeff] = maximize_ratio(walsh_family(1, 1), 4.0).coefficients.values()
+    assert type(coeff) is float and coeff == 1
 
 
 def test_maximize_respects_khintchine_ceiling():
@@ -207,7 +216,7 @@ def test_maximize_beats_equal_start():
 
 def test_maximize_result_is_scale_invariant_certificate():
     """The reported ratio must reproduce under khintchine_ratio on the
-    returned coefficients, up to the eps regularizer."""
+    returned coefficients."""
     seq = geometric_sequence(4, 4)
     iset = enumerate_index_set(seq, 2, "signed")
     result = maximize_ratio(iset, 4.0, ExtremalConfig(restarts=1, max_iter=40, seed=1))
@@ -241,7 +250,7 @@ def test_maximize_deterministic_rerun():
 def test_power_iteration_never_lowers_objective():
     """Each power step c <- grad F / |grad F| keeps F non-decreasing, and
     the max-scaled log F equals the reference objective."""
-    from lacuna.extremal import _make_space, _objective, _power_state, _random_start
+    from lacuna.extremal import _make_space, _power_state, _random_start
 
     values = trig_family(geometric_sequence(2, 8), 1).index_set().values()
     space = _make_space(sorted(values), False, 8)
@@ -249,7 +258,7 @@ def test_power_iteration_never_lowers_objective():
     objectives = []
     for _ in range(15):
         log_f, _, grad, _ = _power_state(space, vec, 8.0)
-        objectives.append(_objective(space, vec, 8.0))
+        objectives.append(objective(space, vec, 8.0))
         assert log_f == pytest.approx(np.log(objectives[-1]), abs=1e-12)
         vec = grad / np.linalg.norm(grad)
     assert all(b >= a for a, b in zip(objectives, objectives[1:]))
@@ -452,6 +461,30 @@ def test_maximize_accepts_family_directly():
 
 
 # --- growth fits ----------------------------------------------------------
+
+
+def test_growth_and_blowup_keep_only_ratios(monkeypatch):
+    """Only maximize_ratio builds an ExtremalResult; growth_exponent and
+    blowup_probe read each search's best ratio, and that ratio is
+    maximize_ratio's bit for bit."""
+    cases = (
+        (trig_family(geometric_sequence(2, 8), 1), ExtremalConfig(restarts=2)),
+        (walsh_family(2, 8), ExtremalConfig(restarts=1)),
+    )
+    p_list = [3, 4, 6, 8]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search result was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extremal, "ExtremalResult", refuse)
+        patch.setattr(extremal, "RunSummary", refuse)
+        reports = [growth_exponent(fam, p_list, cfg) for fam, cfg in cases]
+        blowup_probe(2, 4.0, [4, 8])
+    for (fam, cfg), report in zip(cases, reports):
+        assert report.p_values == tuple(map(float, p_list))
+        for p, ratio in zip(p_list, report.ratios):
+            assert ratio == maximize_ratio(fam, p, cfg).ratio, p
 
 
 def test_growth_single_value_family_is_flat():
