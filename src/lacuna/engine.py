@@ -72,6 +72,16 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return values
 
 
+_CELL_SCALE_CAP = 24
+
+
+def _require_cell_scale(scale: int) -> int:
+    """scale, once its 2**scale cells are within the cap."""
+    if scale > _CELL_SCALE_CAP:
+        raise ResourceError(f"cell enumeration is capped at scale {_CELL_SCALE_CAP}")
+    return scale
+
+
 class _CellSpace:
     """Walsh polynomials on a fixed index list, evaluated exactly on the
     2**scale cells of [0, 1), scale the finest digit of the index list,
@@ -83,9 +93,7 @@ class _CellSpace:
 
     def __init__(self, values_m: Sequence[int]):
         self.freqs = list(values_m)
-        scale = _max_scale(self.freqs)
-        if scale > 24:
-            raise ResourceError("cell enumeration is capped at scale 24")
+        scale = _require_cell_scale(_max_scale(self.freqs))
         self.size = 1 << scale
         self._masks = np.array(
             [_reversed_mask(m, scale) for m in self.freqs], dtype=np.int64

@@ -10,6 +10,8 @@ control.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -29,14 +31,15 @@ from .lacunary import (
     _as_exponent,
     _as_int,
     _as_order,
+    _index_shape,
     counterexample_sequence,
     dyadic_sequence,
     enumerate_index_set,
     geometric_sequence,
 )
-from .engine import _CellSpace, _GridSpace
+from .engine import _CELL_SCALE_CAP, _CellSpace, _GridSpace, _require_cell_scale
 from .trig import _as_oversample, _exact_size, _grid_size, _next_smooth, _trig_rows
-from .walsh import _symmetric_ratio, _walsh_rows
+from .walsh import _full_shape, _krawtchouk_ratio, _walsh_rows
 
 # the tangent part of a gradient this much smaller than the gradient is
 # roundoff: a seeded start that lands on a symmetric point, such as the
@@ -150,6 +153,37 @@ def _index_set(family) -> ChaosIndexSet:
     return family
 
 
+def _full_values(n: int, l: int) -> list[int]:
+    """The sorted order-l indices over the digits 1..n: the ``values()``
+    of ``walsh_family(l, n).index_set()``, built without it."""
+    # combinations of the digits taken from the top come in falling order
+    powers = [1 << k for k in range(n, 0, -1)]
+    values = [sum(c) for c in itertools.combinations(powers, l)]
+    values.reverse()
+    return values
+
+
+def _support(family, config: ExtremalConfig):
+    """The sorted values, the dyadic flag and the shape (n, l) of a search
+    support that is every order-l index over n digits, else None.
+
+    A ``ChaosFamily`` of variant "dyadic" is such a support over the
+    digits 1..n once it passes the shape checks of
+    ``enumerate_index_set``.  It has no values (None) where the search
+    needs none: at ``restarts=1``, and for seeded restarts past the cell
+    cap, which fail for every p before they would read them.
+    """
+    if isinstance(family, ChaosFamily) and family.variant == "dyadic":
+        _, _, l = _index_shape(family.sequence, family.order, family.variant)
+        n = len(family.sequence.terms)
+        if config.restarts == 1 or n > _CELL_SCALE_CAP:
+            return None, True, (n, l)
+    index_set = _index_set(family)
+    values = index_set.values()
+    dyadic = index_set.is_dyadic
+    return values, dyadic, _full_shape(values) if dyadic else None
+
+
 def _make_space(values, dyadic: bool, oversample: int, p=None):
     """The cells of a dyadic support, else the smallest 5-smooth grid at or
     above oversample * (2 * degree + 1) points, or, given an exponent p,
@@ -261,19 +295,27 @@ def _random_start(space, seed_pair) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig):
+def _maximize_over_values(
+    values, dyadic: bool, p: float, config: ExtremalConfig, shape=None
+):
     """The runs of the search, each (vector, ratio, iterations, stop
     reason) with the all-equal start first, and the all-equal start's
     ratio, for a p, config and sorted nonempty support that the caller
-    has checked."""
-    n = len(values)
+    has checked, with its ``shape`` (n, l) when it is every order-l index
+    over n digits.  The values of such a support may be None, as
+    ``_support`` returns them, and so is the vector of its all-equal
+    run, which is never built."""
+    n = math.comb(*shape) if shape else len(values)
     if n == 1:
         # a single frequency has constant modulus, so the ratio is 1 by
         # definition and no search is needed
         one = np.ones(1, dtype=float if dyadic else complex)
         return [(one, 1.0, 0, "stationary")], 1.0
-    probe = _symmetric_ratio(values, p) if dyadic else None
+    probe = _krawtchouk_ratio(*shape, p) if shape else None
     if probe is None or config.restarts > 1:
+        if shape:
+            # the finest digit is at least n: refused before any value is read
+            _require_cell_scale(shape[0])
         space = _make_space(values, dyadic, config.oversample, p)
     if probe is None:
         equal = np.full(n, 1.0 / n**0.5, dtype=space.dtype)
@@ -284,7 +326,7 @@ def _maximize_over_values(values, dyadic: bool, p: float, config: ExtremalConfig
         # every order-l index over its digits: the gradient at the
         # all-equal start is permutation invariant, so the start is
         # stationary, and the Krawtchouk sum gives its ratio without cells
-        runs = [(np.full(n, 1.0 / n**0.5), probe, 1, "stationary")]
+        runs = [(None, probe, 1, "stationary")]
     for r in range(1, config.restarts):
         start = _random_start(space, (config.seed, r))
         state = _power_state(space, start, p)
@@ -314,7 +356,12 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     nearest it for even integer p), so the run stops "stationary" after
     one iteration.  With ``restarts=1`` no cells are built, and such a
     family has no cell cap; seeded restarts still run on the cells, which
-    raise ``ResourceError`` past scale 24.
+    raise ``ResourceError`` past scale 24, checked from n before any
+    enumeration.  A ``ChaosFamily`` of variant "dyadic" is full by
+    construction: at ``restarts=1`` it is taken from (n, l), no index set
+    is built, and the coefficient map runs over the sorted order-l
+    indices generated from (n, l); more than 2^24 of them raise
+    ``ResourceError`` before any is built.
 
     Trig supports are searched on the smallest 5-smooth grid at or above
     ``config.oversample * (2 * degree + 1)`` points, a fast FFT size.  At
@@ -327,19 +374,24 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     ``geometric_sequence(2, 8)``).
     """
     p = _as_exponent(p, search=True)
-    index_set = _index_set(index_set)
     config = config or ExtremalConfig()
-    values = index_set.values()
-    runs, _ = _maximize_over_values(values, index_set.is_dyadic, p, config)
+    values, dyadic, shape = _support(index_set, config)
+    if values is None and math.comb(*shape) > 1 << 24:
+        raise ResourceError(f"{math.comb(*shape)} coefficients exceed the cap of 2^24")
+    runs, _ = _maximize_over_values(values, dyadic, p, config, shape)
     # max keeps the earliest of equal ratios, so ties go to the warm start
     vec, ratio, iterations, stop_reason = max(runs, key=lambda run: run[1])
+    if values is None:
+        values = _full_values(*shape)
+    if vec is None:
+        vec = np.full(len(values), 1.0 / len(values) ** 0.5)
     return ExtremalResult(
         coefficients={m: c.item() for m, c in zip(values, vec)},
         ratio=float(ratio),
         p=float(p),
         iterations=iterations,
         stop_reason=stop_reason,
-        kind="walsh" if index_set.is_dyadic else "trig",
+        kind="walsh" if dyadic else "trig",
         runs=tuple(
             RunSummary("equal" if r == 0 else r, iters, reason, float(run_ratio))
             for r, (_, run_ratio, iters, reason) in enumerate(runs)
@@ -393,22 +445,23 @@ def growth_exponent(
     ratio comes from the search's first evaluation, not a separate
     transform, and on a full dyadic family from the exact Krawtchouk sum
     of ``maximize_ratio``, so at ``restarts=1`` such a family has no cell
-    cap.  An exponent whose search raises a ``LacunaError`` is
-    left out of the fit and listed in ``skipped``.
+    cap.  There a ``ChaosFamily`` of variant "dyadic" is taken from
+    (n, l) and no index set is built, so n may run into the thousands.
+    An exponent whose search raises a ``LacunaError`` is left out of the
+    fit and listed in ``skipped``.
     """
     p_list = [_as_exponent(p, search=True) for p in p_list]
     if len(p_list) < 4:
         raise InvalidInputError("need at least 4 exponents for a slope fit")
     config = config or ExtremalConfig()
-    index_set = _index_set(family)
-    values = index_set.values()
+    values, dyadic, shape = _support(family, config)
     used_p = []
     ratios = []
     probe_ratios = []
     skipped = []
     for p in p_list:
         try:
-            runs, probe = _maximize_over_values(values, index_set.is_dyadic, p, config)
+            runs, probe = _maximize_over_values(values, dyadic, p, config, shape)
         except LacunaError as exc:
             skipped.append((float(p), type(exc).__name__))
             continue

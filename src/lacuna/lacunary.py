@@ -330,6 +330,21 @@ def _require_dyadic_ladder(seq: LacunarySequence) -> None:
         )
 
 
+def _index_shape(seq: LacunarySequence, l, variant: str) -> tuple[str, bool, int]:
+    """The base variant, the star flag and the order of an enumeration of
+    seq, once the order fits in its terms and a dyadic variant's
+    sequence is the ladder 2, 4, ..., 2^n."""
+    base, star = _normalize_variant(variant)
+    l = _as_order(l, 1)
+    if l > len(seq.terms):
+        raise InsufficientTermsError(
+            f"order {l} exceeds available prefix of {len(seq.terms)} terms"
+        )
+    if base == "dyadic":
+        _require_dyadic_ladder(seq)
+    return base, star, l
+
+
 class _Entries(Mapping):
     """The read-only value -> representations map of a `ChaosIndexSet`,
     stored as columns with one item per representation.
@@ -512,15 +527,8 @@ def enumerate_index_set(
     representations, maps to the tuple of its positions, sorted by
     (order, indices, signs).
     """
-    base, star = _normalize_variant(variant)
-    l = _as_order(l, 1)
+    base, star, l = _index_shape(seq, l, variant)
     terms = seq.terms
-    if l > len(terms):
-        raise InsufficientTermsError(
-            f"order {l} exceeds available prefix of {len(terms)} terms"
-        )
-    if base == "dyadic":
-        _require_dyadic_ladder(seq)
     signed = base == "signed"
     n = len(terms)
     values: list[int] = []

@@ -227,17 +227,35 @@ def _nearest_root(num: int, den: int, q: int) -> float:
             return root
 
 
-def _krawtchouk(l: int, n: int) -> list[int]:
-    """K_l(k; n) = sum_j (-1)^j C(k, j) C(n - k, l - j) for k = 0 .. n."""
-    return [
+@functools.lru_cache(maxsize=4)
+def _krawtchouk(n: int, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The weights C(n, k) and the levels K_l(k; n) = sum_j (-1)^j C(k, j)
+    C(n - k, l - j) for k = 0 .. n, built once per (n, l)."""
+    weights = [1]
+    for k in range(n):
+        weights.append(weights[-1] * (n - k) // (k + 1))
+    levels = tuple(
         sum((-1) ** j * math.comb(k, j) * math.comb(n - k, l - j) for j in range(l + 1))
         for k in range(n + 1)
-    ]
+    )
+    return tuple(weights), levels
 
 
-def _symmetric_ratio(values_m: Sequence[int], p) -> float | None:
-    """The L^p/L^2 ratio of the all-equal polynomial on values_m, when
-    they are every order-l index over their n digit positions, else None.
+def _full_shape(values_m: Sequence[int]) -> tuple[int, int] | None:
+    """(n, l) when values_m are every order-l index over their n digit
+    positions, else None."""
+    order = values_m[0].bit_count()
+    n = functools.reduce(operator.or_, values_m).bit_count()
+    if not order or len(values_m) != math.comb(n, order) or any(
+        m.bit_count() != order for m in values_m
+    ):
+        return None
+    return n, order
+
+
+def _krawtchouk_ratio(n: int, l: int, p) -> float:
+    """The L^p/L^2 ratio of the all-equal sum of every order-l index over
+    n digit positions.
 
     Such a sum of products of l of n Rademachers depends only on the
     number k of minus signs, where it is the Krawtchouk value K_l(k; n).
@@ -247,15 +265,8 @@ def _symmetric_ratio(values_m: Sequence[int], p) -> float | None:
     nearest double; any other p takes a log-sum-exp scaled by its
     largest term, which is finite for every p.
     """
-    order = values_m[0].bit_count()
-    n = functools.reduce(operator.or_, values_m).bit_count()
-    size = math.comb(n, order)
-    if not order or len(values_m) != size or any(m.bit_count() != order for m in values_m):
-        return None
-    weights = [1]
-    for k in range(n):
-        weights.append(weights[-1] * (n - k) // (k + 1))
-    levels = _krawtchouk(order, n)
+    weights, levels = _krawtchouk(n, l)
+    size = math.comb(n, l)
     if float(p).is_integer() and p % 2 == 0 and p <= _EXACT_P_MAX:
         q = int(p)
         moment = sum(w * v**q for w, v in zip(weights, levels))
@@ -267,6 +278,13 @@ def _symmetric_ratio(values_m: Sequence[int], p) -> float | None:
     ]
     top = max(logs)
     return math.exp((top + math.log(math.fsum(math.exp(t - top) for t in logs))) / p)
+
+
+def _symmetric_ratio(values_m: Sequence[int], p) -> float | None:
+    """``_krawtchouk_ratio`` at the ``_full_shape`` of values_m, None when
+    they are not every order-l index over their digit positions."""
+    shape = _full_shape(values_m)
+    return None if shape is None else _krawtchouk_ratio(*shape, p)
 
 
 @dataclass(frozen=True)

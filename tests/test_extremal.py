@@ -18,11 +18,14 @@ import numpy as np
 import pytest
 
 from lacuna import (
+    ChaosFamily,
     ExtremalConfig,
     ExtremalResult,
     InsufficientDataError,
+    InsufficientTermsError,
     InvalidInputError,
     InvalidOrderError,
+    InvalidSequenceError,
     InvalidSupportError,
     ResourceError,
     SignedRepresentation,
@@ -31,6 +34,7 @@ from lacuna import (
     WalshPolynomial,
     blowup_probe,
     counterexample_sequence,
+    dyadic_sequence,
     enumerate_index_set,
     geometric_sequence,
     growth_exponent,
@@ -41,10 +45,10 @@ from lacuna import (
     trig_family,
     walsh_family,
 )
-from lacuna import extremal
+from lacuna import extremal, lacunary
 from lacuna.engine import _CellSpace
 from lacuna.extremal import RunSummary, _power_state
-from lacuna.walsh import _symmetric_ratio
+from lacuna.walsh import _krawtchouk_ratio, _symmetric_ratio
 
 
 def objective(space, vec, p):
@@ -340,6 +344,95 @@ def test_partial_dyadic_family_takes_the_cell_path():
     partial = replace(full, entries={m: full.entries[m] for m in values[1:]})
     with pytest.raises(ResourceError):
         maximize_ratio(partial, 4, ExtremalConfig(restarts=1))
+
+
+def _refuse_index_sets(patch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an index set was built")
+
+    patch.setattr(ChaosFamily, "index_set", refuse)
+    patch.setattr(lacunary, "enumerate_index_set", refuse)
+    patch.setattr(extremal, "enumerate_index_set", refuse)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_full_family_ratios_from_n_and_l_are_the_enumerated_ones(l):
+    p_list = [3, 4, 5.5, 8, 16, 32, 64]
+    for n in (l + 1, 9, 17, 32):
+        fam = walsh_family(l, n)
+        want = [_symmetric_ratio(fam.index_set().values(), p) for p in p_list]
+        report = growth_exponent(fam, p_list, ExtremalConfig(restarts=1))
+        assert list(report.ratios) == want, n
+        assert list(report.probe_ratios) == want, n
+
+
+def test_full_family_at_one_restart_builds_no_index_set(monkeypatch):
+    with monkeypatch.context() as patch:
+        _refuse_index_sets(patch)
+        report = growth_exponent(
+            walsh_family(3, 1000), [4, 8, 16, 32, 64], ExtremalConfig(restarts=1)
+        )
+        result = maximize_ratio(walsh_family(2, 300), 4, ExtremalConfig(restarts=1))
+    assert report.skipped == () and report.ratios == report.probe_ratios
+    assert 1.5 < report.probe_slope < 1.6  # towards p^(l/2)
+    assert result.ratio == _krawtchouk_ratio(300, 2, 4)
+    assert result.runs == (RunSummary("equal", 1, "stationary", result.ratio),)
+    assert len(result.coefficients) == 300 * 299 // 2
+
+
+def test_full_values_are_the_index_set_values():
+    for n in range(1, 10):
+        for l in range(1, n + 1):
+            want = walsh_family(l, n).index_set().values()
+            assert extremal._full_values(n, l) == want, (n, l)
+
+
+@pytest.mark.parametrize(
+    "family, error",
+    [
+        (ChaosFamily(geometric_sequence(3, 6), 2, "dyadic"), InvalidSequenceError),
+        (ChaosFamily(dyadic_sequence(3), 5, "dyadic"), InsufficientTermsError),
+        (ChaosFamily(dyadic_sequence(3), 0, "dyadic"), InvalidOrderError),
+        (ChaosFamily(dyadic_sequence(3), 2.5, "dyadic"), InvalidOrderError),
+    ],
+)
+def test_dyadic_family_shape_errors_are_the_enumeration_errors(family, error):
+    with pytest.raises(error) as enumerated:
+        family.index_set()
+    for restarts in (1, 2):
+        cfg = ExtremalConfig(restarts=restarts)
+        for search in (
+            lambda: growth_exponent(family, [3, 4, 6, 8], cfg),
+            lambda: maximize_ratio(family, 4, cfg),
+        ):
+            with pytest.raises(error) as raised:
+                search()
+            assert str(raised.value) == str(enumerated.value)
+
+
+def test_seeded_restarts_past_the_cell_cap_fail_before_enumeration(monkeypatch):
+    fam = walsh_family(3, 120)
+    cfg = ExtremalConfig(restarts=2)
+    with monkeypatch.context() as patch:
+        _refuse_index_sets(patch)
+        with pytest.raises(InsufficientDataError) as info:
+            growth_exponent(fam, [3, 4, 6, 8], cfg)
+        with pytest.raises(ResourceError, match="scale 24"):
+            maximize_ratio(fam, 4, cfg)
+    assert info.value.skipped == tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))
+
+
+def test_full_family_coefficient_cap_before_any_build(monkeypatch):
+    # C(5794, 2) = 16,782,321 coefficients, just past 2^24
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the cap")
+
+    with monkeypatch.context() as patch:
+        _refuse_index_sets(patch)
+        patch.setattr(extremal, "_full_values", refuse)
+        patch.setattr(extremal, "_krawtchouk_ratio", refuse)
+        with pytest.raises(ResourceError, match="2\\^24"):
+            maximize_ratio(walsh_family(2, 5794), 4, ExtremalConfig(restarts=1))
 
 
 def test_stop_at_max_iter_is_not_converged():
