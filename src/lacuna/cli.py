@@ -376,7 +376,7 @@ def _run_ratio(args):
 @_command(
     "riesz",
     _flag("--freqs", type=_INT_LIST, required=True),
-    _flag("--signs", type=_INT_LIST, default=None),
+    _flag("--signs", type=_INT_LIST, default=None, help="a leading minus needs --signs=-1,..."),
 )
 def _run_riesz(args):
     from .trig import riesz_product

@@ -37,7 +37,7 @@ from .lacunary import (
     enumerate_index_set,
     geometric_sequence,
 )
-from .engine import _CELL_SCALE_CAP, _CellSpace, _GridSpace, _require_cell_scale
+from .engine import _CellSpace, _GridSpace, _require_cell_scale
 from .trig import _as_oversample, _exact_size, _grid_size, _next_smooth, _trig_rows
 from .walsh import _full_shape, _krawtchouk_ratio, _walsh_rows
 
@@ -142,17 +142,6 @@ def trig_family(seq: LacunarySequence, l: int) -> ChaosFamily:
     return ChaosFamily(seq, l, "positive")
 
 
-def _index_set(family) -> ChaosIndexSet:
-    """The index set of a family, or the index set itself, once nonempty."""
-    if isinstance(family, ChaosFamily):
-        family = family.index_set()
-    elif not isinstance(family, ChaosIndexSet):
-        raise InvalidInputError("expected a ChaosFamily or ChaosIndexSet")
-    if not len(family):
-        raise InvalidInputError("empty index set")
-    return family
-
-
 def _full_values(n: int, l: int) -> list[int]:
     """The sorted order-l indices over the digits 1..n: the ``values()``
     of ``walsh_family(l, n).index_set()``, built without it."""
@@ -163,25 +152,26 @@ def _full_values(n: int, l: int) -> list[int]:
     return values
 
 
-def _support(family, config: ExtremalConfig):
+def _support(family):
     """The sorted values, the dyadic flag and the shape (n, l) of a search
     support that is every order-l index over n digits, else None.
 
     A ``ChaosFamily`` of variant "dyadic" is such a support over the
-    digits 1..n once it passes the shape checks of
-    ``enumerate_index_set``.  It has no values (None) where the search
-    needs none: at ``restarts=1``, and for seeded restarts past the cell
-    cap, which fail for every p before they would read them.
+    digits 1..n once it passes the shape checks of ``enumerate_index_set``;
+    its values are None, for a search to build with ``_full_values`` after
+    the cap that bounds them.  Any other support is enumerated, and must not be empty.
     """
     if isinstance(family, ChaosFamily) and family.variant == "dyadic":
         _, _, l = _index_shape(family.sequence, family.order, family.variant)
-        n = len(family.sequence.terms)
-        if config.restarts == 1 or n > _CELL_SCALE_CAP:
-            return None, True, (n, l)
-    index_set = _index_set(family)
-    values = index_set.values()
-    dyadic = index_set.is_dyadic
-    return values, dyadic, _full_shape(values) if dyadic else None
+        return None, True, (len(family.sequence.terms), l)
+    if isinstance(family, ChaosFamily):
+        family = family.index_set()
+    elif not isinstance(family, ChaosIndexSet):
+        raise InvalidInputError("expected a ChaosFamily or ChaosIndexSet")
+    if not len(family):
+        raise InvalidInputError("empty index set")
+    values = family.values()
+    return values, family.is_dyadic, _full_shape(values) if family.is_dyadic else None
 
 
 def _make_space(values, dyadic: bool, oversample: int, p=None):
@@ -203,17 +193,21 @@ def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
     The returned complex entry at m packs dF/dRe(c_m) + i dF/dIm(c_m);
     for dyadic supports the coefficients are real and so is the
     gradient.  Entries cover every index-set frequency, with absent
-    coefficients treated as zero.
+    coefficients treated as zero.  A ``walsh_family`` is taken from
+    (n, l), as in every search entry point: past scale 24 it raises
+    ``ResourceError`` before any value is built.
     """
     p = _as_exponent(p, search=True)
-    index_set = _index_set(index_set)
-    values = index_set.values()
+    values, dyadic, shape = _support(index_set)
+    if values is None:
+        # the finest digit is n: refused before any value is built
+        values = _full_values(_require_cell_scale(shape[0]), shape[1])
     extra = set(coeffs) - set(values)
     if extra:
         raise InvalidSupportError(f"coefficients outside the index set: {sorted(extra)}")
     if all(c == 0 for c in coeffs.values()) or not coeffs:
         raise UndefinedGradientError("gradient is undefined at the zero vector")
-    space = _make_space(values, index_set.is_dyadic, ExtremalConfig.oversample, p)
+    space = _make_space(values, dyadic, ExtremalConfig.oversample, p)
     vec = np.array([space.dtype(coeffs.get(m, 0.0)) for m in values])
     _, _, grad, scale = _power_state(space, vec, p)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,9 +307,9 @@ def _maximize_over_values(
         return [(one, 1.0, 0, "stationary")], 1.0
     probe = _krawtchouk_ratio(*shape, p) if shape else None
     if probe is None or config.restarts > 1:
-        if shape:
-            # the finest digit is at least n: refused before any value is read
-            _require_cell_scale(shape[0])
+        if values is None:
+            # the finest digit is n: refused before any value is built
+            values = _full_values(_require_cell_scale(shape[0]), shape[1])
         space = _make_space(values, dyadic, config.oversample, p)
     if probe is None:
         equal = np.full(n, 1.0 / n**0.5, dtype=space.dtype)
@@ -357,11 +351,11 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     one iteration.  With ``restarts=1`` no cells are built, and such a
     family has no cell cap; seeded restarts still run on the cells, which
     raise ``ResourceError`` past scale 24, checked from n before any
-    enumeration.  A ``ChaosFamily`` of variant "dyadic" is full by
-    construction: at ``restarts=1`` it is taken from (n, l), no index set
-    is built, and the coefficient map runs over the sorted order-l
-    indices generated from (n, l); more than 2^24 of them raise
-    ``ResourceError`` before any is built.
+    value is built.  A ``ChaosFamily`` of variant "dyadic", such as a
+    ``walsh_family``, is full by construction: whatever ``restarts`` is,
+    it is taken from (n, l) and no index set is built; the cells and the
+    coefficient map run over its sorted indices generated from (n, l),
+    and more than 2^24 of them raise ``ResourceError`` before any is.
 
     Trig supports are searched on the smallest 5-smooth grid at or above
     ``config.oversample * (2 * degree + 1)`` points, a fast FFT size.  At
@@ -375,7 +369,7 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     """
     p = _as_exponent(p, search=True)
     config = config or ExtremalConfig()
-    values, dyadic, shape = _support(index_set, config)
+    values, dyadic, shape = _support(index_set)
     if values is None and math.comb(*shape) > 1 << 24:
         raise ResourceError(f"{math.comb(*shape)} coefficients exceed the cap of 2^24")
     runs, _ = _maximize_over_values(values, dyadic, p, config, shape)
@@ -445,8 +439,8 @@ def growth_exponent(
     ratio comes from the search's first evaluation, not a separate
     transform, and on a full dyadic family from the exact Krawtchouk sum
     of ``maximize_ratio``, so at ``restarts=1`` such a family has no cell
-    cap.  There a ``ChaosFamily`` of variant "dyadic" is taken from
-    (n, l) and no index set is built, so n may run into the thousands.
+    cap and n may run into the thousands.  Whatever ``restarts`` is, a
+    ``ChaosFamily`` of variant "dyadic" is taken from (n, l) alone.
     An exponent whose search raises a ``LacunaError`` is left out of the
     fit and listed in ``skipped``.
     """
@@ -454,7 +448,7 @@ def growth_exponent(
     if len(p_list) < 4:
         raise InvalidInputError("need at least 4 exponents for a slope fit")
     config = config or ExtremalConfig()
-    values, dyadic, shape = _support(family, config)
+    values, dyadic, shape = _support(family)
     used_p = []
     ratios = []
     probe_ratios = []

@@ -215,13 +215,16 @@ def _log_quotient(num: int, den: int) -> float:
 
 def _nearest_root(num: int, den: int, q: int) -> float:
     """The double nearest (num / den) ** (1 / q), for positive ints."""
-    target = Fraction(num, den)
     root = math.exp(_log_quotient(num, den) / q)
     while True:
         up, down = math.nextafter(root, math.inf), math.nextafter(root, 0.0)
-        if ((Fraction(root) + Fraction(up)) / 2) ** q < target:
+        # midpoints (a + b) / 2d over the largest denominator d, cross-multiplied
+        ratios = [x.as_integer_ratio() for x in (root, up, down)]
+        d = max(den_x for _, den_x in ratios)
+        a, b, c = (num_x * (d // den_x) for num_x, den_x in ratios)
+        if (a + b) ** q * den < num << q * d.bit_length():
             root = up
-        elif ((Fraction(root) + Fraction(down)) / 2) ** q > target:
+        elif (a + c) ** q * den > num << q * d.bit_length():
             root = down
         else:
             return root

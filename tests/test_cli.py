@@ -192,6 +192,16 @@ def test_riesz_report(capsys):
     assert coeffs[84]["re"] == 0.125
 
 
+def test_riesz_signs_with_a_leading_minus_take_the_equals_form(capsys):
+    from lacuna.trig import riesz_product
+
+    code, out, _ = run_cli(capsys, "riesz", "--freqs", "4,16,64", "--signs=-1,1,-1")
+    assert code == 0
+    want = riesz_product((4, 16, 64), (-1, 1, -1)).to_json_dict()
+    assert json.loads(out)["coefficients"] == want["coefficients"]
+    assert json.loads(out)["config"]["signs"] == "-1,1,-1"
+
+
 def test_inverse_check_report(capsys, tmp_path):
     poly = write_poly(tmp_path, "t.json", TRIG_POLY)
     code, out, _ = run_cli(
@@ -342,6 +352,14 @@ _INVERSE_TRIG = [
         pytest.param(
             ["blowup", "--l", "2", "--p", "nan", "--degree-list", "2,4"],
             None, "invalid-input", id="blowup-p-nan",
+        ),
+        pytest.param(
+            ["growth", "--family", "walsh", "--l", "2", "--p-list", "4,8,16,32"],
+            None, "invalid-input", id="growth-walsh-without-budget",
+        ),
+        pytest.param(
+            [*MATRIX_ARGV, "--matrix-kind", "nested-sets", "--coeffs"], TRIG_POLY,
+            "invalid-input", id="nested-sets-without-matrix-file",
         ),
         pytest.param(
             [*_INVERSE_TRIG, "--l", "2", "--d", "0", "--poly"], TRIG_POLY,

@@ -19,6 +19,7 @@ import pytest
 
 from lacuna import (
     ChaosFamily,
+    ChaosIndexSet,
     ExtremalConfig,
     ExtremalResult,
     InsufficientDataError,
@@ -230,14 +231,19 @@ def test_maximize_result_is_scale_invariant_certificate():
 
 
 def test_maximize_empty_support_rejected():
-    seq = geometric_sequence(4, 3)
-    iset = enumerate_index_set(seq, 2, "positive")
-
     class Hollow:
         pass
 
     with pytest.raises(InvalidInputError, match="expected a ChaosFamily or ChaosIndexSet"):
         maximize_ratio(Hollow(), 4.0)
+    empty = ChaosIndexSet("signed", 2, geometric_sequence(4, 3), {})
+    for search in (
+        lambda: maximize_ratio(empty, 4.0),
+        lambda: growth_exponent(empty, [3, 4, 6, 8]),
+        lambda: ratio_gradient({}, empty, 4.0),
+    ):
+        with pytest.raises(InvalidInputError, match="empty index set"):
+            search()
 
 
 def test_maximize_deterministic_rerun():
@@ -380,6 +386,21 @@ def test_full_family_at_one_restart_builds_no_index_set(monkeypatch):
     assert len(result.coefficients) == 300 * 299 // 2
 
 
+def test_full_family_at_seeded_restarts_and_gradient_build_no_index_set(monkeypatch):
+    fam = walsh_family(2, 12)
+    iset = fam.index_set()
+    cfg = ExtremalConfig(restarts=2, max_iter=20, seed=5)
+    coeffs = {m: float(k % 3) - 0.5 for k, m in enumerate(iset.values())}
+    with monkeypatch.context() as patch:
+        _refuse_index_sets(patch)
+        report = growth_exponent(fam, [3, 4, 6, 8], cfg)
+        result = maximize_ratio(fam, 4, cfg)
+        grad = ratio_gradient(coeffs, fam, 4)
+    assert report == growth_exponent(iset, [3, 4, 6, 8], cfg)
+    assert result.to_json_dict() == maximize_ratio(iset, 4, cfg).to_json_dict()
+    assert grad == ratio_gradient(coeffs, iset, 4)
+
+
 def test_full_values_are_the_index_set_values():
     for n in range(1, 10):
         for l in range(1, n + 1):
@@ -411,6 +432,9 @@ def test_dyadic_family_shape_errors_are_the_enumeration_errors(family, error):
 
 
 def test_seeded_restarts_past_the_cell_cap_fail_before_enumeration(monkeypatch):
+    def refuse_values(*args):
+        raise AssertionError("values were built past the cap")
+
     fam = walsh_family(3, 120)
     cfg = ExtremalConfig(restarts=2)
     with monkeypatch.context() as patch:
@@ -419,6 +443,12 @@ def test_seeded_restarts_past_the_cell_cap_fail_before_enumeration(monkeypatch):
             growth_exponent(fam, [3, 4, 6, 8], cfg)
         with pytest.raises(ResourceError, match="scale 24"):
             maximize_ratio(fam, 4, cfg)
+        patch.setattr(extremal, "_full_values", refuse_values)
+        with pytest.raises(ResourceError, match="scale 24"):
+            ratio_gradient({14: 1.0}, fam, 4)
+        # past the cap the gradient refuses before it checks the coefficients
+        with pytest.raises(ResourceError, match="scale 24"):
+            ratio_gradient({}, walsh_family(2, 30), 4)
     assert info.value.skipped == tuple((p, "ResourceError") for p in (3.0, 4.0, 6.0, 8.0))
 
 

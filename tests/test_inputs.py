@@ -168,6 +168,23 @@ BAD_INPUTS = [
     pytest.param(lambda: blowup_probe(2, 4, [2], seed=-1), InvalidInputError, id="blowup-seed-minus-1"),
     pytest.param(lambda: blowup_probe(2, 4, [2.7]), InvalidInputError, id="blowup-budget-2.7"),
     pytest.param(lambda: blowup_probe(2, 4, ["4"]), InvalidInputError, id="blowup-budget-string-4"),
+    # the control's geometric_sequence(3, 24) has 1104 order-2 signed sums
+    pytest.param(lambda: blowup_probe(2, 4.0, [10**6]), ResourceError, id="blowup-budget-10^6"),
+    *(
+        pytest.param(call, InvalidInputError, id=name)
+        for name, call in {
+            "matrix-bound-0": lambda: build_summation_matrix(
+                "prefix-of-rearrangement", order=[20], bound=0
+            ),
+            "matrix-bound-inf": lambda: build_summation_matrix(
+                "prefix-of-rearrangement", order=[20], bound=math.inf
+            ),
+            "prefix-matrix-without-order": lambda: build_summation_matrix(
+                "prefix-of-rearrangement"
+            ),
+            "nested-matrix-without-sets": lambda: build_summation_matrix("nested-sets"),
+        }.items()
+    ),
     *(
         pytest.param(
             lambda kw={"restarts": 2, name: value}: maximize_ratio(

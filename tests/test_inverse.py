@@ -195,6 +195,16 @@ def test_check_d_is_measured_when_missing():
     assert report.threshold == 0.875
 
 
+def test_check_notes_a_witness_at_or_below_the_critical_ratio():
+    # the default witness of geometric_sequence(2, .) is 1, below every critical ratio
+    ctx = TrigContext(sequence=geometric_sequence(2, 6), order=2, d=1)
+    report = inverse_parseval_check(TrigPolynomial({6: 1.0}), IntervalSet([(0, 1)]), ctx)
+    assert report.notes == (
+        "sequence witness does not exceed the order-3 critical ratio; "
+        "the lower bound is not guaranteed",
+    )
+
+
 def test_report_json_uses_pass_key():
     report = inverse_parseval_check(
         TrigPolynomial({20: 1.0}), IntervalSet([(0, 1)]), trig_ctx()

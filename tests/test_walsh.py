@@ -379,3 +379,43 @@ def test_recover_from_callable():
 
     got = recover_coefficient(sampler, WalshIndex.from_value(12), DyadicPoint.zero())
     assert got == 3.0
+
+
+def fraction_nearest_root(num: int, den: int, q: int) -> float:
+    """The earlier ``_nearest_root``: each midpoint tested as a ``Fraction``."""
+    import math
+
+    from lacuna.walsh import _log_quotient
+
+    target = Fraction(num, den)
+    root = math.exp(_log_quotient(num, den) / q)
+    while True:
+        up, down = math.nextafter(root, math.inf), math.nextafter(root, 0.0)
+        if ((Fraction(root) + Fraction(up)) / 2) ** q < target:
+            root = up
+        elif ((Fraction(root) + Fraction(down)) / 2) ** q > target:
+            root = down
+        else:
+            return root
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_nearest_root_matches_the_fraction_midpoints(l):
+    """The integer midpoint test gives the doubles of the Fraction one on the
+    Krawtchouk moments behind the even-p ratios of full families: every
+    even q from 4 to 64 up to n = 1000, q = 128, 512 and 1024 on every
+    fourth n up to 40 and at 100 and 200, and three q at n = 4000, whose
+    moments dominate the cost."""
+    import math
+
+    from lacuna.walsh import _krawtchouk, _nearest_root
+
+    for n in [*range(l, 41), 100, 200, 1000, 4000]:
+        weights, levels = _krawtchouk(n, l)
+        size = math.comb(n, l)
+        q_list = [4, 16, 64] if n > 1000 else range(4, 65, 2)
+        q_list = [*q_list, 128, 512, 1024] if n in (*range(l, 41, 4), 100, 200) else q_list
+        for q in q_list:
+            num = sum(w * v**q for w, v in zip(weights, levels))
+            den = size ** (q // 2) << n
+            assert _nearest_root(num, den, q) == fraction_nearest_root(num, den, q), (n, q)
