@@ -7,6 +7,7 @@ checked against an implementation that shares no code with it.
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from lacuna import (
     shift_sum_bulk,
     walsh_eval,
 )
+from lacuna.walsh import _krawtchouk, _log_quotient, _nearest_root
 
 
 def oracle_digit(x: Fraction, k: int) -> int:
@@ -382,11 +384,7 @@ def test_recover_from_callable():
 
 
 def fraction_nearest_root(num: int, den: int, q: int) -> float:
-    """The earlier ``_nearest_root``: each midpoint tested as a ``Fraction``."""
-    import math
-
-    from lacuna.walsh import _log_quotient
-
+    """The reference ``_nearest_root``: each midpoint compared as a ``Fraction``."""
     target = Fraction(num, den)
     root = math.exp(_log_quotient(num, den) / q)
     while True:
@@ -406,10 +404,6 @@ def test_nearest_root_matches_the_fraction_midpoints(l):
     even q from 4 to 64 up to n = 1000, q = 128, 512 and 1024 on every
     fourth n up to 40 and at 100 and 200, and three q at n = 4000, whose
     moments dominate the cost."""
-    import math
-
-    from lacuna.walsh import _krawtchouk, _nearest_root
-
     for n in [*range(l, 41), 100, 200, 1000, 4000]:
         weights, levels = _krawtchouk(n, l)
         size = math.comb(n, l)
