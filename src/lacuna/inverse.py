@@ -30,7 +30,7 @@ from .lacunary import (
     empirical_mixed_bound,
     representations,
 )
-from .measure import IntervalSet, energy_on_set
+from .measure import IntervalSet, _trig_prefix_energies, energy_on_set
 from .trig import TrigPolynomial
 from .walsh import WalshIndex, WalshPolynomial
 
@@ -300,20 +300,49 @@ def inverse_bound_experiment(
     flagged "not met" rather than failed.  ``implied_mass_bound`` is the
     converse reading: masked mass is at most energy / c, so vanishing
     energies force vanishing coefficients.  ``n_max``, an integer >= 1,
-    stops the replay after that many rows.
+    stops the replay after that many rows.  Keys of ``coeffs`` are read
+    as `_as_key` reads them, so "20" and 20 name one column.
+
+    In a `TrigContext`, the rows of an indicator matrix (the prefix and
+    nested kinds) take every energy from one Gram form, built once over
+    the columns in the order they join: row n's energy is the running
+    sum of each new column's lower-triangle row, read at the row's
+    column count.  Each energy then carries the error that
+    `energy_on_set` states, of order (#intervals + n) eps (sum |c|)^2
+    over the row's n coefficients, and differs from a per-row
+    `energy_on_set` within it, not bit for bit.  Custom rows and a
+    `WalshContext` call `energy_on_set` once per row.  Masses, bounds
+    and flags are computed per row in either case.
     """
     if not isinstance(context, _CONTEXTS):
         raise InvalidInputError("context must be TrigContext or WalshContext")
-    threshold, margin, _ = context._bound(context.polynomial(coeffs))
+    polynomial = context.polynomial(coeffs)
+    threshold, margin, _ = context._bound(polynomial)
+    coeffs = polynomial.coefficients
     lower_constant = float(E.measure) - margin
     hypothesis_met = E.measure > threshold
     rows = matrix.rows if n_max is None else matrix.rows[: _as_int(n_max, 1, "n_max")]
+    joined = None
+    if isinstance(context, TrigContext) and matrix.kind == "indicator":
+        joined = _joined_columns(rows, coeffs)
+    if joined is None:
+        polynomials = [
+            context.polynomial(
+                {m: t * coeffs[m] for m, t in row.items() if m in coeffs and t != 0}
+            )
+            for row in rows
+        ]
+        energies = [energy_on_set(S_n, E) for S_n in polynomials]
+        masses = [S_n.mass for S_n in polynomials]
+    else:
+        columns, counts = joined
+        prefix = _trig_prefix_energies({m: coeffs[m] for m in columns}, E)
+        energies = [prefix[count] for count in counts]
+        # each row's mass summed in its own key order, as TrigPolynomial.mass
+        square = {m: abs(complex(coeffs[m])) ** 2 for m in columns}
+        masses = [float(sum(square[m] for m in row if m in square)) for row in rows]
     records = []
-    for n, row in enumerate(rows, start=1):
-        S_n = context.polynomial(
-            {m: t * coeffs[m] for m, t in row.items() if m in coeffs and t != 0}
-        )
-        energy, mass = energy_on_set(S_n, E), S_n.mass
+    for n, (energy, mass) in enumerate(zip(energies, masses), start=1):
         bound = lower_constant * mass
         records.append(
             ExperimentRow(n, energy, mass, bound, passed=bool(energy > bound))
@@ -328,3 +357,24 @@ def inverse_bound_experiment(
         rows=tuple(records),
         implied_mass_bound=implied,
     )
+
+
+def _joined_columns(rows, coeffs) -> tuple[list, list] | None:
+    """The columns of nested 0/1 rows that coeffs holds, in the order they
+    join, and each row's count of them; None when a row has another entry
+    or lacks a column of the row before it."""
+    columns, joined, counts = [], set(), []
+    for row in rows:
+        count = 0
+        for m, t in row.items():
+            if t != 1.0:
+                return None
+            if m in coeffs:
+                count += 1
+                if m not in joined:
+                    joined.add(m)
+                    columns.append(m)
+        if count != len(columns):
+            return None
+        counts.append(count)
+    return columns, counts

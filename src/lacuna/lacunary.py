@@ -233,6 +233,16 @@ class LacunarySequence:
                 f"ratio {self.terms[i + 1]}/{self.terms[i]} does not exceed witness {self.lam}"
             )
 
+    @classmethod
+    def _trusted(cls, terms: tuple[int, ...], lam: Fraction) -> "LacunarySequence":
+        """A sequence from Python int terms already known to be positive and
+        strictly increasing, with every ratio above lam > 0, set without
+        the re-check."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "terms", terms)
+        object.__setattr__(seq, "lam", lam)
+        return seq
+
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -818,19 +828,21 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
     bits = int(3.33 * l * m_max) + 2 * l + 16
     for _attempt in range(4):
         lo, hi = critical_lambda_bracket(l, bits)
-        # (numerator^k, denominator^k, 3^k) of each end, taken once per bracket
+        # (numerator^k, log2 of denominator^k) of each end and 3^k, taken
+        # once per bracket: both denominators are powers of two
+        lo_b, hi_b = lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1
         powers = [
-            (lo.numerator**k, lo.denominator**k, hi.numerator**k, hi.denominator**k, 3**k)
+            (lo.numerator**k, k * lo_b, hi.numerator**k, k * hi_b, 3**k)
             for k in range(1, l)
         ]
         groups: dict[int, list[int]] = {}
         certified = True
+        scale, step = 10 ** (lo_m * l), 10**l
         for m in range(lo_m, m_max + 1):
-            scale = 10 ** (m * l)
             group = []
-            for lo_n, lo_d, hi_n, hi_d, offset in powers:
-                f_lo = scale * lo_n // lo_d
-                if f_lo != scale * hi_n // hi_d:
+            for lo_n, lo_s, hi_n, hi_s, offset in powers:
+                f_lo = scale * lo_n >> lo_s
+                if f_lo != scale * hi_n >> hi_s:
                     certified = False
                     break
                 group.append(f_lo + offset)
@@ -838,6 +850,7 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
                 break
             group.append(m + sum(group))
             groups[m] = group
+            scale *= step
         if certified:
             break
         bits *= 2
@@ -849,9 +862,14 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
         merged.extend(groups[m])
     # ratio > hi >= lambda_l certifies criticality (hi = lambda_2 = 1 at l = 2)
     i = _ratio_violation(merged, hi)
+    witness = lo if l > 2 else Fraction(1)
     first_violation = None
-    if i is not None:
+    if i is None:
+        # positive terms with every ratio above hi >= 1 and hi >= witness
+        seq = LacunarySequence._trusted(tuple(merged), witness)
+    else:
         first_violation = {"index": i, "pair": (merged[i], merged[i + 1])}
+        seq = LacunarySequence(merged, witness)
 
     positions = {t: i for i, t in enumerate(merged)}
     witnesses = {}
@@ -868,7 +886,6 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
         else:
             witnesses[m] = {"indices": indices, "signs": signs}
 
-    seq = LacunarySequence(merged, lo if l > 2 else Fraction(1))
     report = {
         "order": l,
         "m_min": lo_m,

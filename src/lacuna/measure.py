@@ -194,8 +194,10 @@ def interval_fourier(E: IntervalSet, k: int) -> complex:
 _BLOCK = 256
 
 
-def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
-    # c^T Phi conj(c), not conj(c)^T Phi c: that is the energy of S(-x) on -E
+def _gram_form(coefficients: dict, E: IntervalSet):
+    """The coefficient vector c in key order, and the Gram form of E over
+    the keys, Phi_ts = phi_E(t - s), as a function of a row slice and a
+    column count that returns Phi[rows, :cols]."""
     import numpy as np
 
     keys = list(coefficients)
@@ -205,24 +207,50 @@ def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
     phases = np.exp(2j * np.pi * turns).reshape(len(keys), len(ends))
     signed = phases * np.tile([-1.0, 1.0], len(E.intervals))
     conj_t = phases.conj().T
-    c = np.array([complex(coefficients[k]) for k in keys])
     # object dtype keeps the keys Python ints: t - s is exact past 2^63,
     # and only the difference is rounded to float
     key_col = np.array(keys, dtype=object)
     measure = float(E.measure)
-    total = 0j
-    for lo in range(0, len(keys), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        d = (key_col[rows, None] - key_col).astype(float)
+    c = np.array([complex(coefficients[k]) for k in keys])
+
+    def block(rows: slice, cols: int):
+        d = (key_col[rows, None] - key_col[:cols]).astype(float)
         diagonal = d == 0
-        phi = np.where(
+        return np.where(
             diagonal,
             measure,
             # by d first: 2 pi d overflows for d near the float limit
-            (signed[rows] @ conj_t) / np.where(diagonal, 1.0, d) / (2j * np.pi),
+            (signed[rows] @ conj_t[:, :cols]) / np.where(diagonal, 1.0, d) / (2j * np.pi),
         )
-        total += c[rows] @ phi @ c.conj()
+
+    return c, block
+
+
+def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
+    # c^T Phi conj(c), not conj(c)^T Phi c: that is the energy of S(-x) on -E
+    c, block = _gram_form(coefficients, E)
+    total = 0j
+    for lo in range(0, len(c), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        total += c[rows] @ block(rows, len(c)) @ c.conj()
     return float(total.real)
+
+
+def _trig_prefix_energies(coefficients: dict, E: IntervalSet) -> list[float]:
+    """Energy over E of each prefix of coefficients in key order, from the
+    empty one: entry n sums, for each of the first n keys j, the new row
+    of the Gram form, 2 Re sum_{k<j} c_j Phi_jk conj(c_k) + |E| |c_j|^2.
+    Only the lower triangle is built, in blocks of _BLOCK rows."""
+    import numpy as np
+
+    c, block = _gram_form(coefficients, E)
+    gains = [np.zeros(1)]
+    for lo in range(0, len(c), _BLOCK):
+        hi = min(lo + _BLOCK, len(c))
+        lower = np.tril(block(slice(lo, hi), hi), lo - 1)
+        cross = c[lo:hi] * (lower @ c[:hi].conj())
+        gains.append(2 * cross.real + float(E.measure) * np.abs(c[lo:hi]) ** 2)
+    return np.cumsum(np.concatenate(gains)).tolist()
 
 
 def _walsh_energy(cell_values, scale: int, E: IntervalSet) -> float:

@@ -30,7 +30,8 @@ from lacuna import (
     inverse_bound_experiment,
     inverse_parseval_check,
 )
-from lacuna.inverse import ExperimentRow
+from lacuna import inverse
+from lacuna.inverse import SummationMatrix
 
 
 def big_set(gap_num: int, gap_den: int) -> IntervalSet:
@@ -367,9 +368,31 @@ def test_experiment_row_selecting_nothing_has_float_mass():
         assert not empty["pass"]
 
 
+def stated_error(coeffs, E: IntervalSet) -> float:
+    """energy_on_set's stated trig error, (#intervals + n) eps (sum |c|)^2."""
+    total = sum(abs(complex(c)) for c in coeffs.values())
+    return (len(E.intervals) + len(coeffs)) * np.finfo(float).eps * total**2
+
+
+def assert_rows_match_per_row(report, coeffs, keys, E, c):
+    """n, mass, bound and flag pinned by repr against each row's own
+    polynomial; each energy within the stated error of energy_on_set."""
+    want = []
+    for n, row in enumerate(keys, start=1):
+        S = TrigPolynomial({m: 1.0 * coeffs[m] for m in row})
+        want.append((n, energy_on_set(S, E), S.mass, c * S.mass))
+    assert repr([(r.n, r.mass, r.bound) for r in report.rows]) == repr(
+        [(n, mass, bound) for n, _, mass, bound in want]
+    )
+    for r, (_, energy, _, bound), row in zip(report.rows, want, keys):
+        assert r.passed == (energy > bound)
+        assert abs(r.energy - energy) <= stated_error({m: coeffs[m] for m in row}, E)
+
+
 def test_experiment_rows_sum_each_row_in_its_key_order():
     # a row's mass is summed in the row's key order (the listing for a
-    # prefix matrix, sorted for a nested one), so both are pinned by repr
+    # prefix matrix, sorted for a nested one), so both are pinned by repr;
+    # the energies come from one Gram form in join order
     rng = np.random.default_rng(3)
     seq = geometric_sequence(4, 6)
     values = sorted(enumerate_index_set(seq, 2, "positive").values())
@@ -385,13 +408,77 @@ def test_experiment_rows_sum_each_row_in_its_key_order():
         (prefix, [order[:n] for n in range(1, len(order) + 1)]),
         (nested, [sorted(order[:n]) for n in (3, 9, 15)]),
     ):
-        want = []
-        for n, row in enumerate(keys, start=1):
-            S = TrigPolynomial({m: 1.0 * coeffs[m] for m in row})
-            energy = energy_on_set(S, E)
-            want.append(ExperimentRow(n, energy, S.mass, c * S.mass, energy > c * S.mass))
         report = inverse_bound_experiment(coeffs, matrix, E, ctx)
-        assert repr(report.rows) == repr(tuple(want))
+        assert_rows_match_per_row(report, coeffs, keys, E, c)
+
+
+def test_experiment_indicator_rows_across_gram_blocks():
+    # 300 columns cross the 256-row blocks of the Gram form; a column the
+    # coefficients lack adds nothing, and an empty row has energy 0.0
+    seq = geometric_sequence(4, 24)
+    values = sorted(enumerate_index_set(seq, 2, "positive").values())
+    rng = np.random.default_rng(7)
+    coeffs = {m: complex(*rng.standard_normal(2)) for m in values[:-1]}
+    order = [int(m) for m in rng.permutation(values)]
+    E = IntervalSet([(0, Fraction(1, 3)), (Fraction(3, 8), Fraction(7, 8)), (Fraction(9, 10), 1)])
+    ctx = TrigContext(sequence=seq, order=2, d=1)
+    c = float(E.measure) - 0.5
+    sizes = (0, 1, 255, 256, 257, 300)
+    matrix = build_summation_matrix("nested-sets", sets=[order[:n] for n in sizes])
+    keys = [sorted(m for m in order[:n] if m in coeffs) for n in sizes]
+    report = inverse_bound_experiment(coeffs, matrix, E, ctx)
+    assert_rows_match_per_row(report, coeffs, keys, E, c)
+    assert report.rows[0].energy == 0.0 and report.rows[0].mass == 0.0
+    prefix = build_summation_matrix("prefix-of-rearrangement", order=order)
+    truncated = inverse_bound_experiment(coeffs, prefix, E, ctx, n_max=258)
+    keys = [[m for m in order[:n] if m in coeffs] for n in range(1, 259)]
+    assert_rows_match_per_row(truncated, coeffs, keys, E, c)
+
+
+def test_experiment_calls_energy_on_set_per_row_off_the_trig_indicator_path(monkeypatch):
+    calls = []
+
+    def spy(S, E):
+        calls.append(S)
+        return energy_on_set(S, E)
+
+    monkeypatch.setattr(inverse, "energy_on_set", spy)
+    full = IntervalSet([(0, 1)])
+    trig = {20: 1.0, 68: -2.0, 80: 0.5j}
+    walsh = {6: 1.0, 10: -0.5, 12: 2.0}
+    cases = [
+        # (coeffs, matrix, context, energy_on_set calls)
+        (trig, build_summation_matrix("prefix-of-rearrangement", order=[68, 20, 80]), trig_ctx(), 0),
+        (trig, build_summation_matrix("nested-sets", sets=[[], [80], [20, 80]]), trig_ctx(), 0),
+        (trig, build_summation_matrix("custom", rows=[{20: 1.0}, {20: 1.0, 68: 1.0}]), trig_ctx(), 2),
+        (walsh, build_summation_matrix("prefix-of-rearrangement", order=[12, 6, 10]), WalshContext(2), 3),
+        # indicator rows built by hand that do not nest, or weigh a column,
+        # stay on the per-row path
+        (trig, SummationMatrix(({20: 1.0, 68: 1.0}, {20: 1.0}), 1.0, "indicator"), trig_ctx(), 2),
+        (trig, SummationMatrix(({20: 1.0}, {20: 0.5, 68: 1.0}), 1.0, "indicator"), trig_ctx(), 2),
+    ]
+    for coeffs, matrix, ctx, want in cases:
+        calls.clear()
+        report = inverse_bound_experiment(coeffs, matrix, full, ctx)
+        assert len(calls) == want
+        for r, row in zip(report.rows, matrix.rows):
+            S = ctx.polynomial({m: t * coeffs[m] for m, t in row.items()})
+            assert r.mass == S.mass
+            assert r.energy == pytest.approx(S.mass, abs=1e-12)  # Parseval on [0, 1)
+
+
+def test_experiment_reads_decimal_string_keys_as_integers():
+    E = big_set(1, 1024)
+    for coeffs, ctx in (({20: 1.0, 68: 2.0}, trig_ctx()), ({6: 1.0, 10: 2.0}, WalshContext(2))):
+        keyed = {str(m): c for m, c in coeffs.items()}
+        for kind, args in (
+            ("prefix-of-rearrangement", {"order": list(coeffs)}),
+            ("custom", {"rows": [dict.fromkeys(coeffs, 1.0)]}),
+        ):
+            matrix = build_summation_matrix(kind, **args)
+            report = inverse_bound_experiment(keyed, matrix, E, ctx)
+            assert report == inverse_bound_experiment(coeffs, matrix, E, ctx)
+            assert all(r.passed and r.mass > 0 for r in report.rows)
 
 
 def test_experiment_n_max_truncates():

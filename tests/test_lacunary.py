@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from lacuna import lacunary
 from lacuna import (
     ChaosIndexSet,
     HeadPartitionReport,
@@ -649,6 +650,93 @@ def test_counterexample_order_three_is_pinned():
     assert lo * lo < lo + 1 and hi * hi > hi + 1
 
 
+def reference_counterexample(l, m_max):
+    """counterexample_sequence with division floors and a checked
+    LacunarySequence, for an order and m_max that it accepts."""
+    lo_m = 3**l
+    bits = int(3.33 * l * m_max) + 2 * l + 16
+    for _attempt in range(4):
+        lo, hi = critical_lambda_bracket(l, bits)
+        groups = {}
+        for m in range(lo_m, m_max + 1):
+            scale = 10 ** (m * l)
+            floors = [
+                (scale * lo.numerator**k // lo.denominator**k, k) for k in range(1, l)
+            ]
+            if any(f != scale * hi.numerator**k // hi.denominator**k for f, k in floors):
+                break
+            group = [f + 3**k for f, k in floors]
+            groups[m] = group + [m + sum(group)]
+        else:
+            break
+        bits *= 2
+    merged = [t for m in range(lo_m, m_max + 1) for t in groups[m]]
+    bad = [i for i in range(len(merged) - 1) if Fraction(merged[i + 1], merged[i]) <= hi]
+    first_violation = None
+    if bad:
+        first_violation = {"index": bad[0], "pair": (merged[bad[0]], merged[bad[0] + 1])}
+    witnesses, missing = {}, []
+    for m in range(lo_m, m_max + 1):
+        group = groups[m]
+        indices = [merged.index(t) for t in reversed(group)]
+        if group[-1] - sum(group[:-1]) != m or indices != sorted(indices, reverse=True):
+            missing.append(m)
+        else:
+            witnesses[m] = {"indices": indices, "signs": [1] + [-1] * (l - 1)}
+    seq = LacunarySequence(merged, lo if l > 2 else Fraction(1))
+    return seq, {
+        "order": l,
+        "m_min": lo_m,
+        "m_max": m_max,
+        "bracket_bits": bits,
+        "lambda_bracket": [str(lo), str(hi)],
+        "lacunary_ok": first_violation is None,
+        "first_violation": first_violation,
+        "coverage_ok": not missing,
+        "missing": missing,
+        "witnesses": witnesses,
+    }
+
+
+@pytest.mark.parametrize(
+    "l, m_max",
+    # l * m_max == 3000 is the largest accepted size
+    [(2, 9), (2, 40), (2, 1500), (3, 27), (3, 31), (3, 150), (4, 81), (4, 95), (5, 243), (5, 250)],
+)
+def test_counterexample_equals_the_division_reference(l, m_max, monkeypatch):
+    want_seq, want = reference_counterexample(l, m_max)
+    checks = []
+    violation = lacunary._ratio_violation
+
+    def spy(terms, lam):
+        checks.append(lam)
+        return violation(terms, lam)
+
+    monkeypatch.setattr(lacunary, "_ratio_violation", spy)
+    seq, report = counterexample_sequence(l, m_max)
+    assert (seq.terms, seq.lam, type(seq.lam)) == (want_seq.terms, want_seq.lam, Fraction)
+    assert report == want and report["lacunary_ok"]
+    assert checks == [Fraction(report["lambda_bracket"][1])]  # one check, against hi
+
+
+def test_counterexample_keeps_the_checked_sequence_on_a_violation(monkeypatch):
+    # a violation against hi is reported, and the sequence is still built
+    # against lo with every ratio checked
+    violation = lacunary._ratio_violation
+    calls = []
+
+    def first_pair_fails(terms, lam):
+        calls.append(lam)
+        return 0 if len(calls) == 1 else violation(terms, lam)
+
+    monkeypatch.setattr(lacunary, "_ratio_violation", first_pair_fails)
+    seq, report = counterexample_sequence(3, 30)
+    lo, hi = map(Fraction, report["lambda_bracket"])
+    assert calls == [hi, lo]
+    assert report["first_violation"] == {"index": 0, "pair": seq.terms[:2]}
+    assert not report["lacunary_ok"] and seq.lam == lo
+
+
 def test_counterexample_guards():
     with pytest.raises(InvalidInputError):
         counterexample_sequence(2, 5)
@@ -656,6 +744,9 @@ def test_counterexample_guards():
         counterexample_sequence(1, 10)
     with pytest.raises(ResourceError):
         counterexample_sequence(2, 2000)
+    # 6 * 3**6 > 3000: at l = 6 no m_max is both large enough and in reach
+    with pytest.raises(ResourceError):
+        counterexample_sequence(6, 3**6)
 
 
 # --- randomized window sanity --------------------------------------------
