@@ -304,15 +304,13 @@ def inverse_bound_experiment(
     as `_as_key` reads them, so "20" and 20 name one column.
 
     In a `TrigContext`, the rows of an indicator matrix (the prefix and
-    nested kinds) take every energy from one Gram form, built once over
-    the columns in the order they join: row n's energy is the running
-    sum of each new column's lower-triangle row, read at the row's
-    column count.  Each energy then carries the error that
+    nested kinds) take their energies from one Gram form over the
+    columns in the order they join: row n's energy is the running sum
+    of each new column's lower-triangle row.  It carries the error that
     `energy_on_set` states, of order (#intervals + n) eps (sum |c|)^2
-    over the row's n coefficients, and differs from a per-row
-    `energy_on_set` within it, not bit for bit.  Custom rows and a
-    `WalshContext` call `energy_on_set` once per row.  Masses, bounds
-    and flags are computed per row in either case.
+    over the row's n coefficients, and may differ from a per-row
+    `energy_on_set` in the last bits.  Custom rows and a `WalshContext`
+    call `energy_on_set` once per row.
     """
     if not isinstance(context, _CONTEXTS):
         raise InvalidInputError("context must be TrigContext or WalshContext")
@@ -363,18 +361,12 @@ def _joined_columns(rows, coeffs) -> tuple[list, list] | None:
     """The columns of nested 0/1 rows that coeffs holds, in the order they
     join, and each row's count of them; None when a row has another entry
     or lacks a column of the row before it."""
-    columns, joined, counts = [], set(), []
+    columns, counts = {}, []
     for row in rows:
-        count = 0
-        for m, t in row.items():
-            if t != 1.0:
-                return None
-            if m in coeffs:
-                count += 1
-                if m not in joined:
-                    joined.add(m)
-                    columns.append(m)
-        if count != len(columns):
+        if any(t != 1.0 for t in row.values()):
             return None
-        counts.append(count)
-    return columns, counts
+        columns.update(dict.fromkeys(m for m in row if m in coeffs))
+        counts.append(sum(m in coeffs for m in row))
+        if counts[-1] != len(columns):
+            return None
+    return list(columns), counts

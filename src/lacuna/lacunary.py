@@ -811,10 +811,12 @@ def counterexample_sequence(l: int, m_max: int) -> tuple[LacunarySequence, dict]
     ``m = n_l(m) - n_{l-1}(m) - ... - n_1(m)`` exactly.
 
     The floors are certified with a dyadic rational bracket of
-    lambda_l whose width is small against the floor arguments, and the
-    merged sequence's lacunarity is verified pair by pair against the
-    bracket's upper end, which every ratio must exceed.  Returns the
-    sequence and a coverage report.
+    lambda_l whose width is small against the floor arguments; its
+    power-of-two denominators make each floor a right shift.  The merged
+    sequence's lacunarity is verified once, pair by pair against the
+    bracket's upper end, which every ratio must exceed, and so the
+    witness lo <= hi (1 at l = 2) holds too.  Returns the sequence and
+    a coverage report.
     """
     l = _as_order(l)
     lo_m = 3**l

@@ -288,7 +288,9 @@ def energy_on_set(S, E: IntervalSet) -> float:
     ``geometric_sequence(4, 24)`` with Gaussian coefficients, on [0, 1)
     minus one gap and on the gap, three draws came within 2e-16 relative
     of a 40-digit reference.  A t - s past the float range raises
-    ``ResourceError``.
+    ``ResourceError``.  The phases and blocks come from one private
+    builder (`_gram_form`), which `inverse_bound_experiment` also uses
+    to read every prefix energy of an indicator matrix off one Gram form.
 
     Walsh polynomials integrate their piecewise-constant cells against
     exact cell/E overlaps, with the whole cells of each interval summed
