@@ -377,15 +377,13 @@ def stated_error(coeffs, E: IntervalSet) -> float:
 def assert_rows_match_per_row(report, coeffs, keys, E, c):
     """n, mass, bound and flag pinned by repr against each row's own
     polynomial; each energy within the stated error of energy_on_set."""
-    want = []
+    pinned, energies = [], []
     for n, row in enumerate(keys, start=1):
         S = TrigPolynomial({m: 1.0 * coeffs[m] for m in row})
-        want.append((n, energy_on_set(S, E), S.mass, c * S.mass))
-    assert repr([(r.n, r.mass, r.bound) for r in report.rows]) == repr(
-        [(n, mass, bound) for n, _, mass, bound in want]
-    )
-    for r, (_, energy, _, bound), row in zip(report.rows, want, keys):
-        assert r.passed == (energy > bound)
+        energies.append(energy_on_set(S, E))
+        pinned.append((n, S.mass, c * S.mass, energies[-1] > c * S.mass))
+    assert repr([(r.n, r.mass, r.bound, r.passed) for r in report.rows]) == repr(pinned)
+    for r, energy, row in zip(report.rows, energies, keys):
         assert abs(r.energy - energy) <= stated_error({m: coeffs[m] for m in row}, E)
 
 
@@ -420,7 +418,8 @@ def test_experiment_indicator_rows_across_gram_blocks():
     rng = np.random.default_rng(7)
     coeffs = {m: complex(*rng.standard_normal(2)) for m in values[:-1]}
     order = [int(m) for m in rng.permutation(values)]
-    E = IntervalSet([(0, Fraction(1, 3)), (Fraction(3, 8), Fraction(7, 8)), (Fraction(9, 10), 1)])
+    thirds, eighths = (0, Fraction(1, 3)), (Fraction(3, 8), Fraction(7, 8))
+    E = IntervalSet([thirds, eighths, (Fraction(9, 10), 1)])
     ctx = TrigContext(sequence=seq, order=2, d=1)
     c = float(E.measure) - 0.5
     sizes = (0, 1, 255, 256, 257, 300)
@@ -446,12 +445,13 @@ def test_experiment_calls_energy_on_set_per_row_off_the_trig_indicator_path(monk
     full = IntervalSet([(0, 1)])
     trig = {20: 1.0, 68: -2.0, 80: 0.5j}
     walsh = {6: 1.0, 10: -0.5, 12: 2.0}
+    prefix, nested = "prefix-of-rearrangement", "nested-sets"
     cases = [
         # (coeffs, matrix, context, energy_on_set calls)
-        (trig, build_summation_matrix("prefix-of-rearrangement", order=[68, 20, 80]), trig_ctx(), 0),
-        (trig, build_summation_matrix("nested-sets", sets=[[], [80], [20, 80]]), trig_ctx(), 0),
-        (trig, build_summation_matrix("custom", rows=[{20: 1.0}, {20: 1.0, 68: 1.0}]), trig_ctx(), 2),
-        (walsh, build_summation_matrix("prefix-of-rearrangement", order=[12, 6, 10]), WalshContext(2), 3),
+        (trig, build_summation_matrix(prefix, order=[68, 20, 80]), trig_ctx(), 0),
+        (trig, build_summation_matrix(nested, sets=[[], [80], [20, 80]]), trig_ctx(), 0),
+        (trig, build_summation_matrix("custom", rows=[{20: 1}, {20: 1, 68: 1}]), trig_ctx(), 2),
+        (walsh, build_summation_matrix(prefix, order=[12, 6, 10]), WalshContext(2), 3),
         # indicator rows built by hand that do not nest, or weigh a column,
         # stay on the per-row path
         (trig, SummationMatrix(({20: 1.0, 68: 1.0}, {20: 1.0}), 1.0, "indicator"), trig_ctx(), 2),
