@@ -303,14 +303,13 @@ def inverse_bound_experiment(
     stops the replay after that many rows.  Keys of ``coeffs`` are read
     as `_as_key` reads them, so "20" and 20 name one column.
 
-    In a `TrigContext`, the rows of an indicator matrix (the prefix and
-    nested kinds) take their energies from one Gram form over the
-    columns in the order they join: row n's energy is the running sum
-    of each new column's lower-triangle row.  It carries the error that
-    `energy_on_set` states, of order (#intervals + n) eps (sum |c|)^2
-    over the row's n coefficients, and may differ from a per-row
-    `energy_on_set` in the last bits.  Custom rows and a `WalshContext`
-    call `energy_on_set` once per row.
+    Each trig energy, here as in `energy_on_set`, is one lower-triangle
+    running sum of the Gram form in key order, with the error that
+    `energy_on_set` states.  In a `TrigContext` the rows of an indicator
+    matrix (the prefix and nested kinds) read one such sum over the
+    columns in the order they join, at each row's column count; other
+    rows build S_n for its energy alone.  Every row's mass is summed in
+    the row's key order, as S_n.mass would be.
     """
     if not isinstance(context, _CONTEXTS):
         raise InvalidInputError("context must be TrigContext or WalshContext")
@@ -320,25 +319,24 @@ def inverse_bound_experiment(
     lower_constant = float(E.measure) - margin
     hypothesis_met = E.measure > threshold
     rows = matrix.rows if n_max is None else matrix.rows[: _as_int(n_max, 1, "n_max")]
+    masses = [
+        float(sum(abs(complex(t * coeffs[m])) ** 2 for m, t in row.items() if m in coeffs))
+        for row in rows
+    ]
     joined = None
     if isinstance(context, TrigContext) and matrix.kind == "indicator":
         joined = _joined_columns(rows, coeffs)
     if joined is None:
-        polynomials = [
-            context.polynomial(
-                {m: t * coeffs[m] for m, t in row.items() if m in coeffs and t != 0}
+        energies = [
+            energy_on_set(
+                context.polynomial({m: t * coeffs[m] for m, t in row.items() if m in coeffs}), E
             )
             for row in rows
         ]
-        energies = [energy_on_set(S_n, E) for S_n in polynomials]
-        masses = [S_n.mass for S_n in polynomials]
     else:
         columns, counts = joined
         prefix = _trig_prefix_energies({m: coeffs[m] for m in columns}, E)
         energies = [prefix[count] for count in counts]
-        # each row's mass summed in its own key order, as TrigPolynomial.mass
-        square = {m: abs(complex(coeffs[m])) ** 2 for m in columns}
-        masses = [float(sum(square[m] for m in row if m in square)) for row in rows]
     records = []
     for n, (energy, mass) in enumerate(zip(energies, masses), start=1):
         bound = lower_constant * mass

@@ -40,11 +40,15 @@ VARIANTS = (
 
 
 def _as_fraction(x) -> Fraction:
-    """Exact conversion; floats convert via their binary expansion."""
+    """Exact conversion; floats convert via their binary expansion.  NaN,
+    infinities and strings that name no rational raise InvalidInputError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, float, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -194,10 +194,15 @@ def interval_fourier(E: IntervalSet, k: int) -> complex:
 _BLOCK = 256
 
 
-def _gram_form(coefficients: dict, E: IntervalSet):
-    """The coefficient vector c in key order, and the Gram form of E over
-    the keys, Phi_ts = phi_E(t - s), as a function of a row slice and a
-    column count that returns Phi[rows, :cols]."""
+def _trig_prefix_energies(coefficients: dict, E: IntervalSet) -> list[float]:
+    """Energy over E of each prefix of coefficients in key order, from the
+    empty one; the last entry is the energy of them all.
+
+    Entry n sums, for each of the first n keys j, the new row of the Gram
+    form Phi_ts = phi_E(t - s): 2 Re sum_{k<j} c_j Phi_jk conj(c_k) +
+    |E| |c_j|^2.  Only the lower triangle is built, in blocks of _BLOCK
+    rows, so memory is O(_BLOCK n).
+    """
     import numpy as np
 
     keys = list(coefficients)
@@ -212,44 +217,15 @@ def _gram_form(coefficients: dict, E: IntervalSet):
     key_col = np.array(keys, dtype=object)
     measure = float(E.measure)
     c = np.array([complex(coefficients[k]) for k in keys])
-
-    def block(rows: slice, cols: int):
-        d = (key_col[rows, None] - key_col[:cols]).astype(float)
-        diagonal = d == 0
-        return np.where(
-            diagonal,
-            measure,
-            # by d first: 2 pi d overflows for d near the float limit
-            (signed[rows] @ conj_t[:, :cols]) / np.where(diagonal, 1.0, d) / (2j * np.pi),
-        )
-
-    return c, block
-
-
-def _trig_energy(coefficients: dict, E: IntervalSet) -> float:
-    # c^T Phi conj(c), not conj(c)^T Phi c: that is the energy of S(-x) on -E
-    c, block = _gram_form(coefficients, E)
-    total = 0j
-    for lo in range(0, len(c), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        total += c[rows] @ block(rows, len(c)) @ c.conj()
-    return float(total.real)
-
-
-def _trig_prefix_energies(coefficients: dict, E: IntervalSet) -> list[float]:
-    """Energy over E of each prefix of coefficients in key order, from the
-    empty one: entry n sums, for each of the first n keys j, the new row
-    of the Gram form, 2 Re sum_{k<j} c_j Phi_jk conj(c_k) + |E| |c_j|^2.
-    Only the lower triangle is built, in blocks of _BLOCK rows."""
-    import numpy as np
-
-    c, block = _gram_form(coefficients, E)
     gains = [np.zeros(1)]
     for lo in range(0, len(c), _BLOCK):
         hi = min(lo + _BLOCK, len(c))
-        lower = np.tril(block(slice(lo, hi), hi), lo - 1)
-        cross = c[lo:hi] * (lower @ c[:hi].conj())
-        gains.append(2 * cross.real + float(E.measure) * np.abs(c[lo:hi]) ** 2)
+        d = (key_col[lo:hi, None] - key_col[:hi]).astype(float)
+        # by d first: 2 pi d overflows for d near the float limit; d is 0
+        # only on the diagonal, which tril drops
+        phi = (signed[lo:hi] @ conj_t[:, :hi]) / np.where(d == 0, 1.0, d) / (2j * np.pi)
+        cross = c[lo:hi] * (np.tril(phi, lo - 1) @ c[:hi].conj())
+        gains.append(2 * cross.real + measure * np.abs(c[lo:hi]) ** 2)
     return np.cumsum(np.concatenate(gains)).tolist()
 
 
@@ -281,16 +257,17 @@ def energy_on_set(S, E: IntervalSet) -> float:
     diagonal, and off it the sum over endpoints of e(t x) conj(e(s x))
     (+ at each b, - at each a) over 2 pi i (t - s), with t - s exact in
     integers.  The unit phases e(k x) are built once, each from k x mod 1
-    reduced exactly (`_turns`), and the rows are summed in blocks of 256,
-    so memory is O(256 n) for n coefficients.  Each phase is correct to
-    a few ulps, so the absolute error is of order
-    (#intervals + n) eps (sum_t |c_t|)^2.  On the 276 pair sums of
-    ``geometric_sequence(4, 24)`` with Gaussian coefficients, on [0, 1)
-    minus one gap and on the gap, three draws came within 2e-16 relative
-    of a 40-digit reference.  A t - s past the float range raises
-    ``ResourceError``.  The phases and blocks come from one private
-    builder (`_gram_form`), which `inverse_bound_experiment` also uses
-    to read every prefix energy of an indicator matrix off one Gram form.
+    reduced exactly (`_turns`).  The form is read as one running sum in
+    key order over its lower triangle, each key adding 2 Re of its row
+    below the diagonal plus |E| |c_t|^2, in blocks of 256 rows, so memory
+    is O(256 n) for n coefficients.  `inverse_bound_experiment` reads
+    every prefix energy of an indicator matrix off the same running sum
+    (`_trig_prefix_energies`).  Each phase is correct to a few ulps, so
+    the absolute error is of order (#intervals + n) eps (sum_t |c_t|)^2.
+    On the 276 pair sums of ``geometric_sequence(4, 24)`` with Gaussian
+    coefficients, on [0, 1) minus one gap and on the gap, three draws
+    came within 4.4e-16 relative of a 40-digit reference.  A t - s past
+    the float range raises ``ResourceError``.
 
     Walsh polynomials integrate their piecewise-constant cells against
     exact cell/E overlaps, with the whole cells of each interval summed
@@ -298,7 +275,7 @@ def energy_on_set(S, E: IntervalSet) -> float:
     is nonnegative).
     """
     if isinstance(S, TrigPolynomial):
-        return _trig_energy(S.coefficients, E)
+        return _trig_prefix_energies(S.coefficients, E)[-1]
     if isinstance(S, WalshPolynomial):
         if not S.coefficients:
             return 0.0

@@ -9,6 +9,7 @@ and Walsh-sign decoration of chaos sums.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import warnings
@@ -40,7 +41,8 @@ class TrigPolynomial:
     Coefficients are ``numbers.Complex``, `Fraction`s and numpy scalars
     included; the exact rational kind survives the symbolic operations
     (cosine products, Riesz expansion, projection) and is coerced to
-    complex only at grid synthesis time.  Zero coefficients are dropped.
+    complex only at grid synthesis time.  Zero coefficients are dropped,
+    and a NaN or infinite one raises ``InvalidInputError``.
     """
 
     coefficients: Mapping[int, complex]
@@ -51,6 +53,8 @@ class TrigPolynomial:
             m = _as_key(m)
             if not isinstance(c, numbers.Complex):
                 raise InvalidInputError(f"trig coefficient {c!r} at {m} is not a number")
+            if not isinstance(c, (int, Fraction)) and not cmath.isfinite(c):
+                raise InvalidInputError(f"trig coefficient {c!r} at {m} is not finite")
             if c != 0:
                 cleaned[m] = c
         object.__setattr__(self, "coefficients", cleaned)
@@ -82,7 +86,7 @@ class TrigPolynomial:
                 _as_key(c["freq"]): complex(float(c["re"]), float(c.get("im", 0.0)))
                 for c in data["coefficients"]
             }
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidInputError(f"malformed trig polynomial: {exc!r}") from exc
         return cls(coeffs)
 

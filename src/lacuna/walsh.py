@@ -296,8 +296,9 @@ class WalshPolynomial:
 
     Keys are 0 (the constant) or even integers whose binary ones sit at
     positions >= 1.  Coefficients are ``numbers.Real`` (floats, ints,
-    ``Fraction``s, numpy floats); zero coefficients are dropped.  The
-    polynomial is piecewise constant on the 2**max_scale cells of [0, 1).
+    ``Fraction``s, numpy floats); zero coefficients are dropped, and a
+    NaN or infinite one raises ``InvalidInputError``.  The polynomial is
+    piecewise constant on the 2**max_scale cells of [0, 1).
     """
 
     coefficients: Mapping[int, float]
@@ -309,6 +310,8 @@ class WalshPolynomial:
             _exponents_of(m)  # validates the key
             if not isinstance(a, numbers.Real):
                 raise InvalidInputError(f"Walsh coefficient {a!r} at {m} is not real")
+            if not isinstance(a, (int, Fraction)) and not math.isfinite(a):
+                raise InvalidInputError(f"Walsh coefficient {a!r} at {m} is not finite")
             if a:
                 cleaned[m] = a
         object.__setattr__(self, "coefficients", cleaned)
@@ -344,7 +347,7 @@ class WalshPolynomial:
     def from_json_dict(cls, data: dict) -> "WalshPolynomial":
         try:
             coeffs = {_as_key(c["value_m"]): float(c["coeff"]) for c in data["coefficients"]}
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidInputError(f"malformed Walsh polynomial: {exc!r}") from exc
         return cls(coeffs)
 

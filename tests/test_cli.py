@@ -22,8 +22,9 @@ def run_cli(capsys, *argv):
 
 
 def write_poly(tmp_path, name, data):
+    """Write data as JSON, or a str of JSON text as it stands."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -316,6 +317,10 @@ def test_malformed_input_file_is_2_with_payload(capsys, tmp_path, argv, data):
 
 # a trig key past the float range
 BIG_KEY_POLY = {"coefficients": [{"freq": 10**400, "re": 1.0}, {"freq": 1, "re": 1.0}]}
+# a coefficient past the float range: a 401-digit JSON integer, and a
+# JSON float that parses to inf
+BIG_COEFF_POLY = {"coefficients": [{"freq": 4, "re": 10**400}, {"freq": 16, "re": 1.0}]}
+INF_COEFF_POLY = '{"coefficients": [{"freq": 4, "re": 1e999}, {"freq": 16, "re": 1.0}]}'
 
 _INVERSE_TRIG = [
     "inverse-check", "--kind", "trig", "--set", "0/1:63/64",
@@ -388,6 +393,14 @@ _INVERSE_TRIG = [
         pytest.param(
             ["norm", "--kind", "trig", "--p", "4", "--poly"], BIG_KEY_POLY,
             "resource-limit", id="norm-key-10^400",
+        ),
+        pytest.param(
+            ["energy", "--kind", "trig", "--set", "0/1:1/2", "--poly"], BIG_COEFF_POLY,
+            "invalid-input", id="energy-coefficient-10^400",
+        ),
+        pytest.param(
+            ["energy", "--kind", "trig", "--set", "0/1:1/2", "--poly"], INF_COEFF_POLY,
+            "invalid-input", id="energy-coefficient-1e999",
         ),
     ],
 )

@@ -1,12 +1,14 @@
 """Input-domain tests: every public entry point refuses a bad exponent,
-order, key, count, index, digit position, sign, frequency list, trig
-coefficient, bound d, search setting, blowup budget or a trig key past the
+order, key, count, index, digit position, sign, frequency list, trig or
+Walsh coefficient (NaN and infinities included), rational endpoint or
+witness, bound d, search setting, blowup budget or a trig key past the
 float range with a typed error, and the accepted integer forms keep working.
 
 Each rule lives in one helper (``lacunary._as_exponent``, ``_as_int``
 behind ``_as_order`` and every count, index, digit position and
 frequency, ``_as_key``, ``_as_sign``, ``_as_terms`` for every sequence,
-``_ratio_violation`` for every lacunarity ratio, ``trig._as_frequencies``, ``trig._as_oversample``,
+``_ratio_violation`` for every lacunarity ratio, ``_as_fraction`` for every
+rational, ``trig._as_frequencies``, ``trig._as_oversample``,
 ``measure._as_float`` and ``inverse._alpha_threshold_exact``), so these
 cases pin the helpers through the functions that call them.
 """
@@ -255,12 +257,44 @@ BAD_INPUTS = [
         )
         for sign in (1.0, True, Fraction(1), "1")
     ),
-    # one coefficient rule: a trig coefficient is a numbers.Complex
+    # one coefficient rule: a trig coefficient is a finite numbers.Complex,
+    # a Walsh coefficient a finite numbers.Real
     *(
         pytest.param(
-            lambda c=c: TrigPolynomial({4: c}), InvalidInputError, id=f"trig-coefficient-{c!r}"
+            lambda c=c: TrigPolynomial({4: c, 16: 1.0}),
+            InvalidInputError,
+            id=f"trig-coefficient-{c!r}",
         )
-        for c in ("1", None, [1.0])
+        for c in ("1", None, [1.0], math.nan, math.inf, complex(1, math.nan), np.float64(-math.inf))
+    ),
+    *(
+        pytest.param(
+            lambda a=a: WalshPolynomial({6: a, 10: 1.0}),
+            InvalidInputError,
+            id=f"walsh-coefficient-{a!r}",
+        )
+        for a in (math.nan, -math.inf, np.float32(math.inf))
+    ),
+    pytest.param(
+        lambda: TrigPolynomial.from_json_dict({"coefficients": [{"freq": 4, "re": 10**400}]}),
+        InvalidInputError,
+        id="trig-json-re-10^400",
+    ),
+    pytest.param(
+        lambda: WalshPolynomial.from_json_dict({"coefficients": [{"value_m": 6, "coeff": 10**400}]}),
+        InvalidInputError,
+        id="walsh-json-coeff-10^400",
+    ),
+    # one rational coercer (lacunary._as_fraction): NaN, infinities and
+    # strings that name no rational
+    *(
+        pytest.param(call, InvalidInputError, id=name)
+        for name, call in {
+            "interval-end-nan": lambda: IntervalSet([(0, math.nan)]),
+            "lacunary-witness-inf": lambda: LacunarySequence([2, 8], math.inf),
+            "validate-witness-string-x": lambda: validate_lacunary([2, 8], "x"),
+            "validate-witness-string-1/0": lambda: validate_lacunary([2, 8], "1/0"),
+        }.items()
     ),
 ]
 

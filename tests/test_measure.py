@@ -307,17 +307,23 @@ def test_trig_energy_with_keys_past_two_to_the_63():
 
 def test_trig_energy_across_row_blocks_on_the_276_pair_sums():
     # the pair sums of geometric_sequence(4, 24) are 276 keys, more than
-    # one row block, on a full circle with one gap
+    # one row block, on a full circle with one gap; the energy is a
+    # running sum in key order, so it is checked in three orders
     keys = enumerate_index_set(geometric_sequence(4, 24), 2, "positive").values()
     assert len(keys) > _BLOCK
     poly = random_trig(keys, 2)
+    c = poly.coefficients
+    orders = [sorted(c), sorted(c, reverse=True)]
+    orders.append([int(k) for k in np.random.default_rng(7).permutation(orders[0])])
     E = IntervalSet([(0, Fraction(1733, 4096)), (Fraction(2011, 4096), 1)])
-    total = 0.0
+    totals = [0.0] * len(orders)
     for F in (E, E.complement()):
-        got = energy_on_set(poly, F)
-        assert got == pytest.approx(pair_sum_energy(poly, F), rel=1e-13, abs=0)
-        total += got
-    assert total == pytest.approx(poly.mass, abs=1e-10)
+        want = pair_sum_energy(poly, F)
+        for i, order in enumerate(orders):
+            got = energy_on_set(TrigPolynomial({k: c[k] for k in order}), F)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+            totals[i] += got
+    assert totals == pytest.approx([poly.mass] * len(orders), abs=1e-10)
 
 
 def test_trig_energy_near_the_float_limit_without_overflow():
