@@ -200,8 +200,9 @@ def _trig_prefix_energies(coefficients: dict, E: IntervalSet) -> list[float]:
 
     Entry n sums, for each of the first n keys j, the new row of the Gram
     form Phi_ts = phi_E(t - s): 2 Re sum_{k<j} c_j Phi_jk conj(c_k) +
-    |E| |c_j|^2.  Only the lower triangle is built, in blocks of _BLOCK
-    rows, so memory is O(_BLOCK n).
+    |E| |c_j|^2 (c_j, not its conjugate, on the left: the other way is
+    the energy of S(-x) on -E).  Only the lower triangle is built, in
+    blocks of _BLOCK rows, so memory is O(_BLOCK n).
     """
     import numpy as np
 
