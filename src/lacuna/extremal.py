@@ -38,8 +38,9 @@ from .lacunary import (
     geometric_sequence,
 )
 from .engine import _CellSpace, _GridSpace, _require_cell_scale
-from .trig import _as_oversample, _exact_size, _grid_size, _next_smooth, _trig_rows
-from .walsh import _full_shape, _krawtchouk_ratio, _walsh_rows
+from .trig import TrigPolynomial, _as_oversample, _exact_size, _grid_size, _next_smooth
+from .trig import _trig_rows
+from .walsh import WalshPolynomial, _full_shape, _krawtchouk_ratio, _scaled, _walsh_rows
 
 # the tangent part of a gradient this much smaller than the gradient is
 # roundoff: a seeded start that lands on a symmetric point, such as the
@@ -190,28 +191,34 @@ def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
     """Gradient of F(c) = mean |S_c|^p over the search's grid at p
     (``ExtremalConfig.oversample``, or the exact grid at even p).
 
-    The returned complex entry at m packs dF/dRe(c_m) + i dF/dIm(c_m);
-    for dyadic supports the coefficients are real and so is the
-    gradient.  Entries cover every index-set frequency, with absent
-    coefficients treated as zero.  A ``walsh_family`` is taken from
-    (n, l), as in every search entry point: past scale 24 it raises
-    ``ResourceError`` before any value is built.
+    The returned complex entry at m packs dF/dRe(c_m) + i dF/dIm(c_m).
+    coeffs are read as the constructor of the support's kind reads them
+    (``WalshPolynomial`` on a dyadic support, so they and the gradient
+    are real, else ``TrigPolynomial``): keys as integers, zeros dropped,
+    a bad value an ``InvalidInputError``.  The vector is scaled by the
+    power of two of ``walsh._scaled`` and the gradient scaled back once.
+    Entries cover every index-set frequency, with absent coefficients
+    treated as zero.  A ``walsh_family`` is taken from (n, l), as in
+    every search entry point: past scale 24 it raises ``ResourceError``
+    before any value is built.
     """
     p = _as_exponent(p, search=True)
     values, dyadic, shape = _support(index_set)
     if values is None:
         # the finest digit is n: refused before any value is built
         values = _full_values(_require_cell_scale(shape[0]), shape[1])
+    coeffs = (WalshPolynomial if dyadic else TrigPolynomial)(coeffs).coefficients
     extra = set(coeffs) - set(values)
     if extra:
         raise InvalidSupportError(f"coefficients outside the index set: {sorted(extra)}")
-    if all(c == 0 for c in coeffs.values()) or not coeffs:
+    if not coeffs:
         raise UndefinedGradientError("gradient is undefined at the zero vector")
     space = _make_space(values, dyadic, ExtremalConfig.oversample, p)
-    vec = np.array([space.dtype(coeffs.get(m, 0.0)) for m in values])
-    _, _, grad, scale = _power_state(space, vec, p)
+    scaled, e = _scaled([coeffs.get(m, 0) for m in values])
+    _, _, grad, scale = _power_state(space, np.array([space.dtype(c) for c in scaled]), p)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad *= p * np.float64(scale) ** (p - 1)
+        scale = np.ldexp(np.float64(scale), e)
+        grad *= p * scale ** (p - 1)
     if not np.isfinite(grad).all():
         raise ResourceError(
             f"gradient at p={p:g} is not finite: p * M^(p-1) with M = {scale:.6g}"

@@ -32,7 +32,7 @@ from .lacunary import (
 )
 from .measure import IntervalSet, _trig_prefix_energies, energy_on_set
 from .trig import TrigPolynomial
-from .walsh import WalshIndex, WalshPolynomial
+from .walsh import WalshIndex, WalshPolynomial, _mass
 
 
 def alpha_threshold(l: int, d: int) -> float:
@@ -319,10 +319,7 @@ def inverse_bound_experiment(
     lower_constant = float(E.measure) - margin
     hypothesis_met = E.measure > threshold
     rows = matrix.rows if n_max is None else matrix.rows[: _as_int(n_max, 1, "n_max")]
-    masses = [
-        float(sum(abs(complex(t * coeffs[m])) ** 2 for m, t in row.items() if m in coeffs))
-        for row in rows
-    ]
+    masses = [_mass(t * coeffs[m] for m, t in row.items() if m in coeffs) for row in rows]
     joined = None
     if isinstance(context, TrigContext) and matrix.kind == "indicator":
         joined = _joined_columns(rows, coeffs)

@@ -273,14 +273,10 @@ def energy_on_set(S, E: IntervalSet) -> float:
     Walsh polynomials integrate their piecewise-constant cells against
     exact cell/E overlaps, with the whole cells of each interval summed
     pairwise (relative error of order log2(cells) ulps, since every term
-    is nonnegative).
+    is nonnegative); past scale 24 the cells raise ``ResourceError``.
     """
     if isinstance(S, TrigPolynomial):
         return _trig_prefix_energies(S.coefficients, E)[-1]
     if isinstance(S, WalshPolynomial):
-        if not S.coefficients:
-            return 0.0
-        if S.max_scale > 20:
-            raise ResourceError("cell-exact energy is capped at scale 20")
         return _walsh_energy(S.cell_values(), S.max_scale, E)
     raise InvalidInputError("energy_on_set expects a trig or Walsh polynomial")

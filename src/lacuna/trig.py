@@ -10,7 +10,6 @@ and Walsh-sign decoration of chaos sums.
 from __future__ import annotations
 
 import cmath
-import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -31,7 +30,8 @@ from .lacunary import (
     _as_sign,
     _ratio_violation,
 )
-from .walsh import DyadicPoint, WalshPolynomial, _compact_digits, _sign, _symmetric_ratio
+from .walsh import DyadicPoint, WalshPolynomial, _compact_digits, _full_shape, _sign
+from .walsh import _krawtchouk_ratio, _mass, _norm
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,11 @@ class TrigPolynomial:
 
     @property
     def mass(self) -> float:
-        """Sum of squared coefficient moduli, the L^2 norm squared."""
-        return float(sum(abs(complex(c)) ** 2 for c in self.coefficients.values()))
+        """Sum of squared coefficient moduli, the L^2 norm squared (``_mass``)."""
+        return _mass(self.coefficients.values())
 
     def norm2(self) -> float:
-        return math.sqrt(self.mass)
+        return _norm(self.coefficients.values())
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -172,16 +172,16 @@ def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
     not to the finest digit.  When every coefficient is equal and the
     support is every order-l index over its digit positions, the norm
     is the L^2 norm times the Krawtchouk-sum ratio of
-    ``walsh._symmetric_ratio``: no cells are built, so no cell cap
+    ``walsh._krawtchouk_ratio``: no cells are built, so no cell cap
     applies.
     """
     from .engine import _cell_values, _lp_norm
 
     p = _as_exponent(p)
     if p != 2 and len(set(S.coefficients.values())) == 1:
-        ratio = _symmetric_ratio(list(S.coefficients), p)
-        if ratio is not None:
-            return ratio * S.norm2()
+        shape = _full_shape(list(S.coefficients))
+        if shape is not None:
+            return _krawtchouk_ratio(*shape, p) * S.norm2()
     return _lp_norm(S, p, lambda: _cell_values(_compact_digits(S.coefficients)))
 
 

@@ -205,12 +205,16 @@ _EXACT_P_MAX = 1024
 _LN2 = math.log(2.0)
 
 
+def _quotient_pow2(num: int, den: int, k: int) -> float:
+    """num * 2**k / den for ints of any size, rounded once."""
+    return (num << k) / den if k >= 0 else num / (den << -k)
+
+
 def _log_quotient(num: int, den: int) -> float:
     """log(num / den) for positive ints of any size, to a few ulps of the
     result rather than of log(num)."""
     shift = num.bit_length() - den.bit_length()
-    mant = num / (den << shift) if shift >= 0 else (num << -shift) / den
-    return math.log(mant) + shift * _LN2
+    return math.log(_quotient_pow2(num, den, -shift)) + shift * _LN2
 
 
 def _nearest_root(num: int, den: int, q: int) -> float:
@@ -283,11 +287,63 @@ def _krawtchouk_ratio(n: int, l: int, p) -> float:
     return math.exp((top + math.log(math.fsum(math.exp(t - top) for t in logs))) / p)
 
 
-def _symmetric_ratio(values_m: Sequence[int], p) -> float | None:
-    """``_krawtchouk_ratio`` at the ``_full_shape`` of values_m, None when
-    they are not every order-l index over their digit positions."""
-    shape = _full_shape(values_m)
-    return None if shape is None else _krawtchouk_ratio(*shape, p)
+def _exponent(c) -> int:
+    """An e with 2**(e-2) <= max(|Re c|, |Im c|) < 2**e for a nonzero c,
+    exact for ints and Fractions of any size."""
+    if not isinstance(c, (float, complex)) and isinstance(c, numbers.Rational):
+        return int(abs(c.numerator)).bit_length() - int(c.denominator).bit_length() + 1
+    z = complex(c)
+    return math.frexp(max(abs(z.real), abs(z.imag)))[1]
+
+
+def _times_pow2(c, k: int):
+    """c * 2**k as a double, complex when its imaginary part is nonzero:
+    ints and Fractions are shifted exactly before their one rounding."""
+    if not isinstance(c, (float, complex)) and isinstance(c, numbers.Rational):
+        return _quotient_pow2(int(c.numerator), int(c.denominator), k)
+    z = complex(c)
+    if z.imag:
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+    return math.ldexp(z.real, k)
+
+
+def _scaled(values) -> tuple[list, int]:
+    """values times 2**-e as doubles, and e, the largest ``_exponent`` of
+    the nonzero ones: every part lands below 1, whatever the scale.  A
+    power of two scales a double exactly while it stays normal, so what
+    is computed from the scaled values and scaled back agrees bit for
+    bit with the direct computation wherever both see normal doubles."""
+    values = list(values)
+    e = max((_exponent(c) for c in values if c), default=0)
+    return [_times_pow2(c, -e) for c in values], e
+
+
+def _unscale(x: float, e: int, what: str) -> float:
+    """x * 2**e: 0.0 below the float range, ResourceError naming what above."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise ResourceError(f"{what} {x:.6g} * 2**{e} passes the float range") from None
+
+
+def _scaled_mass(values) -> tuple[float, int]:
+    scaled, e = _scaled(values)
+    return float(sum(abs(z) ** 2 for z in scaled)), e
+
+
+def _mass(values) -> float:
+    """Sum of squared moduli of values, in their order: the L^2 norm
+    squared of a coefficient map, summed at the scale of ``_scaled`` and
+    scaled back once."""
+    total, e = _scaled_mass(values)
+    return _unscale(total, 2 * e, "coefficient mass")
+
+
+def _norm(values) -> float:
+    """The square root of ``_mass``, taken before the scale comes back,
+    so it is finite wherever the largest value is."""
+    total, e = _scaled_mass(values)
+    return _unscale(math.sqrt(total), e, "L^2 norm")
 
 
 @dataclass(frozen=True)
@@ -334,11 +390,11 @@ class WalshPolynomial:
 
     @property
     def mass(self) -> float:
-        """Sum of squared coefficients, the L^2 norm squared."""
-        return float(sum(float(a) ** 2 for a in self.coefficients.values()))
+        """Sum of squared coefficients, the L^2 norm squared (``_mass``)."""
+        return _mass(self.coefficients.values())
 
     def norm2(self) -> float:
-        return math.sqrt(self.mass)
+        return _norm(self.coefficients.values())
 
     def to_json_dict(self) -> dict:
         return {"coefficients": _walsh_rows(self.coefficients)}

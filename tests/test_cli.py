@@ -731,6 +731,24 @@ def test_atomic_write_leaves_no_partials(capsys, tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_removes_its_temporary_when_the_rename_fails(tmp_path, monkeypatch):
+    from lacuna import cli
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(str(tmp_path / "r.json"), "{}")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", list(README_LINES))
+def test_subcommand_help_exits_0(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0 and out.startswith("usage:")
+
+
 # --- Walsh contexts, trig families and sequence errors ---------------------
 
 

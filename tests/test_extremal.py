@@ -49,7 +49,12 @@ from lacuna import (
 from lacuna import extremal, lacunary
 from lacuna.engine import _CellSpace
 from lacuna.extremal import RunSummary, _power_state
-from lacuna.walsh import _krawtchouk_ratio, _symmetric_ratio
+from lacuna.walsh import _full_shape, _krawtchouk_ratio
+
+
+def _symmetric_ratio(values, p):
+    shape = _full_shape(values)
+    return None if shape is None else _krawtchouk_ratio(*shape, p)
 
 
 def objective(space, vec, p):
@@ -164,6 +169,13 @@ def test_gradient_validation():
         ratio_gradient({2: 1.0}, iset, 4.0)  # order 1, not in the pair chaos
     with pytest.raises(InvalidInputError):
         ratio_gradient({6: 1.0}, iset, 2.0)
+
+
+def test_gradient_reads_keys_and_zeros_as_the_constructors_do():
+    iset = walsh_pairs(4)
+    assert ratio_gradient({"6": 1.0, 10: 0.0}, iset, 4.0) == ratio_gradient({6: 1.0}, iset, 4.0)
+    trig = enumerate_index_set(geometric_sequence(4, 3), 1, "positive")
+    assert ratio_gradient({"4": 1j}, trig, 4.0) == ratio_gradient({4: 1j}, trig, 4.0)
 
 
 def test_gradient_past_the_float_range_raises_resource_error():

@@ -1,8 +1,9 @@
 """Input-domain tests: every public entry point refuses a bad exponent,
 order, key, count, index, digit position, sign, frequency list, trig or
 Walsh coefficient (NaN and infinities included), rational endpoint or
-witness, bound d, search setting, blowup budget or a trig key past the
-float range with a typed error, and the accepted integer forms keep working.
+witness, bound d, search setting, blowup budget, a trig key past the
+float range or a mass past it with a typed error, and the accepted integer
+forms keep working.
 
 Each rule lives in one helper (``lacunary._as_exponent``, ``_as_int``
 behind ``_as_order`` and every count, index, digit position and
@@ -29,6 +30,7 @@ from lacuna import (
     InvalidInputError,
     InvalidOrderError,
     InvalidSequenceError,
+    InvalidSupportError,
     LacunarySequence,
     ResourceError,
     SignedRepresentation,
@@ -41,6 +43,7 @@ from lacuna import (
     build_summation_matrix,
     counterexample_sequence,
     critical_lambda_bracket,
+    decorate_with_walsh_signs,
     dyadic_sequence,
     energy_on_set,
     enumerate_index_set,
@@ -49,6 +52,7 @@ from lacuna import (
     interval_fourier,
     inverse_bound_experiment,
     inverse_parseval_check,
+    khintchine_ratio,
     lp_norm_trig,
     lp_norm_walsh,
     maximize_ratio,
@@ -66,6 +70,8 @@ from lacuna.lacunary import _ratio_violation
 
 SEQ = geometric_sequence(4, 4)
 TRIG = TrigPolynomial({20: 1.0, 68: 0.5})
+TRIG_PAIRS = enumerate_index_set(SEQ, 2, "positive")
+WALSH_PAIRS = walsh_family(2, 4)
 WALSH = WalshPolynomial({6: 1.0, 10: -0.5})
 FULL = IntervalSet.full()
 THIRD = IntervalSet.parse("0/1:1/3")
@@ -295,6 +301,54 @@ BAD_INPUTS = [
             "validate-witness-string-x": lambda: validate_lacunary([2, 8], "x"),
             "validate-witness-string-1/0": lambda: validate_lacunary([2, 8], "1/0"),
         }.items()
+    ),
+    # ratio_gradient reads its coefficients through the constructor of
+    # its support's kind, so the same coefficient rule holds there
+    *(
+        pytest.param(
+            lambda support=support, coeffs=coeffs: ratio_gradient(coeffs, support, 4),
+            InvalidInputError,
+            id=f"gradient-{name}",
+        )
+        for name, support, coeffs in (
+            ("trig-nan", TRIG_PAIRS, {20: math.nan}),
+            ("trig-inf", TRIG_PAIRS, {20: math.inf}),
+            ("trig-string", TRIG_PAIRS, {20: "1"}),
+            ("walsh-complex", WALSH_PAIRS, {6: 1j}),
+            ("walsh-nan", WALSH_PAIRS, {6: math.nan}),
+        )
+    ),
+    # an exact coefficient past the float range is scaled exactly, and the
+    # gradient, which is p-homogeneous, then overflows with a typed error
+    pytest.param(
+        lambda: ratio_gradient({20: 10**400}, TRIG_PAIRS, 4), ResourceError, id="gradient-10^400"
+    ),
+    # a mass or norm past the float range raises, naming itself
+    *(
+        pytest.param(call, ResourceError, id=name)
+        for name, call in {
+            "trig-mass-1e200": lambda: TrigPolynomial({4: 1e200}).mass,
+            "trig-mass-10^400": lambda: TrigPolynomial({4: 10**400}).mass,
+            "walsh-norm-10^400": lambda: WalshPolynomial({6: 10**400, 10: 1.0}).norm2(),
+        }.items()
+    ),
+    pytest.param(lambda: DyadicPoint(8, 3), InvalidInputError, id="dyadic-point-8/2^3"),
+    pytest.param(lambda: DyadicPoint.parse("x"), InvalidInputError, id="dyadic-point-parse-x"),
+    pytest.param(
+        lambda: LacunarySequence([2, 8], 0), InvalidSequenceError, id="lacunary-witness-0"
+    ),
+    pytest.param(
+        lambda: khintchine_ratio(TRIG.coefficients, 4), InvalidInputError, id="khintchine-dict"
+    ),
+    # 6 = 2 + 4 = 8 - 2 over the signed pair sums of 2, 4, 8, 16
+    pytest.param(
+        lambda: decorate_with_walsh_signs(
+            TrigPolynomial({6: 1.0}),
+            enumerate_index_set(geometric_sequence(2, 4), 2, "signed"),
+            DyadicPoint.zero(),
+        ),
+        InvalidSupportError,
+        id="decorate-two-representations",
     ),
 ]
 

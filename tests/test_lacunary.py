@@ -164,6 +164,12 @@ def test_sequence_constructor_enforces_witness():
     # the witness comparison is exact: ratio 3 is not > 3
     with pytest.raises(InvalidSequenceError):
         LacunarySequence((3, 9), lam=Fraction(3))
+    assert len(seq) == 3
+
+
+def test_index_set_entries_read_as_a_dict():
+    entries = enumerate_index_set(geometric_sequence(4, 3), 2).entries
+    assert repr(entries) == repr(dict(entries.items()))
 
 
 # --- enumeration ----------------------------------------------------------
@@ -736,6 +742,39 @@ def test_counterexample_keeps_the_checked_sequence_on_a_violation(monkeypatch):
     assert calls == [hi, lo]
     assert report["first_violation"] == {"index": 0, "pair": seq.terms[:2]}
     assert not report["lacunary_ok"] and seq.lam == lo
+
+
+def _wide_first_bracket(monkeypatch, wide_calls):
+    """Patch critical_lambda_bracket to return [1, 2] on its first
+    wide_calls calls, a bracket under which no floor is certified, and
+    record the bits of every call."""
+    bracket = lacunary.critical_lambda_bracket
+    bits_seen = []
+
+    def patched(l, bits):
+        bits_seen.append(bits)
+        if len(bits_seen) <= wide_calls:
+            return Fraction(1), Fraction(2)
+        return bracket(l, bits)
+
+    monkeypatch.setattr(lacunary, "critical_lambda_bracket", patched)
+    return bits_seen
+
+
+def test_counterexample_retries_at_doubled_bracket_bits(monkeypatch):
+    want_seq, want = counterexample_sequence(2, 20)
+    bits_seen = _wide_first_bracket(monkeypatch, 1)
+    seq, report = counterexample_sequence(2, 20)
+    assert seq == want_seq  # at l = 2 the witness is 1, whatever the bracket
+    assert bits_seen == [want["bracket_bits"], 2 * want["bracket_bits"]]
+    assert report == {**want, "bracket_bits": bits_seen[1]}
+
+
+def test_counterexample_refuses_after_four_uncertified_brackets(monkeypatch):
+    bits_seen = _wide_first_bracket(monkeypatch, 4)
+    with pytest.raises(ResourceError, match="could not certify floors"):
+        counterexample_sequence(2, 20)
+    assert bits_seen == [bits_seen[0] << i for i in range(4)]
 
 
 def test_counterexample_guards():

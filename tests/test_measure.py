@@ -108,11 +108,18 @@ def test_translate_wraps_around():
     assert T.measure == E.measure
 
 
+def test_translate_without_a_wrap():
+    E = IntervalSet([(Fraction(1, 2), Fraction(3, 4))])
+    assert E.translate(Fraction(1, 8)).intervals == ((Fraction(5, 8), Fraction(7, 8)),)
+    assert E.translate(Fraction(1, 2)).intervals == ((Fraction(0), Fraction(1, 4)),)
+
+
 def test_arg_string_roundtrip():
     E = IntervalSet([(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(9, 10))])
     assert IntervalSet.parse(E.to_arg_string()).intervals == E.intervals
     with pytest.raises(InvalidInputError):
         IntervalSet.parse("1/2")
+    assert IntervalSet.parse(" ") == IntervalSet.empty()
 
 
 def test_intersect():
@@ -377,6 +384,13 @@ def test_walsh_energy_at_the_scale_cap():
     assert got == pytest.approx(poly.mass, abs=1e-10)
 
 
+def test_walsh_energy_past_scale_20_up_to_the_cell_cap():
+    # the cells' own cap at scale 24 is the only one; scale 21 was refused
+    poly = WalshPolynomial({2**21: 1.0, 6: 0.5})
+    assert energy_on_set(poly, IntervalSet.full()) == 1.25
+    assert energy_on_set(WalshPolynomial({}), IntervalSet.parse("0/1:1/3")) == 0.0
+
+
 def test_walsh_energy_of_a_thin_interval_keeps_relative_accuracy():
     # a width-1e-6 piece far from 0 must not be the difference of two
     # running sums near the full mass
@@ -396,7 +410,7 @@ def test_walsh_energy_cap_precedes_cell_evaluation(monkeypatch):
 
     monkeypatch.setattr(lacuna.engine._CellSpace, "values", refuse)
     with pytest.raises(ResourceError):
-        energy_on_set(WalshPolynomial({2**22: 1.0}), IntervalSet.full())
+        energy_on_set(WalshPolynomial({2**25: 1.0}), IntervalSet.full())
 
 
 def test_energy_rejects_unknown_polynomial():

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacuna import (
     AliasingError,
@@ -34,6 +36,12 @@ from lacuna import (
     riesz_product,
 )
 from lacuna.engine import _GridSpace
+from lacuna.walsh import _full_shape, _krawtchouk_ratio
+
+
+def _symmetric_ratio(values, p):
+    shape = _full_shape(values)
+    return None if shape is None else _krawtchouk_ratio(*shape, p)
 
 
 def synthesize(poly: TrigPolynomial, N: int) -> np.ndarray:
@@ -203,8 +211,6 @@ def test_walsh_lp_norms():
 
 
 def test_walsh_lp_on_an_equal_full_family_is_the_krawtchouk_sum():
-    from lacuna.walsh import _symmetric_ratio
-
     for l, n in ((1, 9), (2, 10), (3, 8)):
         values = enumerate_index_set(dyadic_sequence(n), l, "dyadic").values()
         for c in (0.3, -2, Fraction(1, 3)):
@@ -217,8 +223,6 @@ def test_walsh_lp_on_an_equal_full_family_is_the_krawtchouk_sum():
 
 
 def test_walsh_lp_on_an_equal_full_family_has_no_cell_cap():
-    from lacuna.walsh import _symmetric_ratio
-
     values = enumerate_index_set(dyadic_sequence(26), 2, "dyadic").values()
     equal = WalshPolynomial({m: 1.0 for m in values})
     assert lp_norm_walsh(equal, 8) > 0
@@ -327,6 +331,86 @@ def test_ratio_trig_chaos_respects_moment_bound():
         )
         for p in (3, 4, 6):
             assert khintchine_ratio(poly, p) <= (8 * (p - 1)) ** (l / 2) + 1e-6
+
+
+# --- scale-safe mass and norm ---------------------------------------------
+
+# pair sums of 4, 16, 64, 256 and order-2 indices over five digits
+TRIG_KEYS = (20, 68, 80, 260, 272, 320)
+WALSH_KEYS = (6, 10, 12, 18, 20, 24, 34, 36, 40, 48)
+_MAGNITUDE = st.floats(1e-3, 1e3)
+_REAL = st.tuples(_MAGNITUDE, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+def test_mass_and_norm_are_the_direct_sums_bit_for_bit():
+    """Power-of-two scaling changes no bit where the squares are normal:
+    the mass equals the direct sum of squares, on floats, ints, Fractions
+    and numpy scalars over many magnitudes."""
+    rng = np.random.default_rng(36)
+    kinds = (
+        lambda x: x,
+        lambda x: int(x * 1e6),
+        lambda x: Fraction(int(x * 1e6), int(rng.integers(1, 10**6))),
+        lambda x: np.float32(rng.standard_normal()),
+        np.float64,
+        lambda x: np.int64(math.fmod(x * 1e6, 2.0**62)),
+    )
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-100, 100)
+        n = int(rng.integers(1, len(WALSH_KEYS) + 1))
+        values = [
+            kinds[int(rng.integers(len(kinds)))](rng.standard_normal() * scale)
+            for _ in range(n)
+        ]
+        walsh = WalshPolynomial(dict(zip(WALSH_KEYS, values)))
+        want = float(sum(float(a) ** 2 for a in walsh.coefficients.values()))
+        assert walsh.mass == want
+        assert walsh.norm2() == math.sqrt(want)
+        trig = TrigPolynomial({m: v * (1 + 1j) for m, v in zip(TRIG_KEYS, values)})
+        want = float(sum(abs(complex(c)) ** 2 for c in trig.coefficients.values()))
+        assert trig.mass == want
+        assert trig.norm2() == math.sqrt(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_REAL, _REAL), min_size=1, max_size=len(TRIG_KEYS)),
+    st.lists(_REAL, min_size=1, max_size=len(WALSH_KEYS)),
+    st.integers(-600, 600),
+)
+def test_norm_and_ratio_are_scale_free_under_powers_of_two(trig, walsh, k):
+    """t = 2^k with |k| up to 600: past 540 the unscaled squares of unit
+    coefficients overflow or underflow, and the scaled ones stay exact."""
+    t = 2.0**k
+    for S in (
+        TrigPolynomial({m: complex(*c) for m, c in zip(TRIG_KEYS, trig)}),
+        WalshPolynomial(dict(zip(WALSH_KEYS, walsh))),
+    ):
+        tS = type(S)({m: t * c for m, c in S.coefficients.items()})
+        assert tS.norm2() == t * S.norm2()
+        assert khintchine_ratio(tS, 4) == khintchine_ratio(S, 4)
+
+
+def test_extreme_coefficients_keep_their_norms_and_ratios():
+    unit = khintchine_ratio(TrigPolynomial({4: 1.0, 16: 1.0}), 4)
+    tiny = TrigPolynomial({4: 1e-200, 16: 1e-200})
+    assert tiny.norm2() == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    assert khintchine_ratio(tiny, 4) == pytest.approx(unit, rel=1e-15)
+    walsh_unit = khintchine_ratio(WalshPolynomial({6: 1.0, 10: 1.0}), 4)
+    walsh_tiny = WalshPolynomial({6: 1e-200, 10: 1e-200})
+    assert khintchine_ratio(walsh_tiny, 4) == pytest.approx(walsh_unit, rel=1e-15)
+    # the mass 1e400 overflows, the norm and the ratio do not
+    for S in (TrigPolynomial({4: 1e200, 16: 1.0}), WalshPolynomial({6: 1e200, 10: 1.0})):
+        assert S.norm2() == 1e200
+        assert khintchine_ratio(S, 4) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(ResourceError, match="coefficient mass"):
+            S.mass
+    # exact ints and Fractions are scaled before their one rounding
+    exact = TrigPolynomial({4: Fraction(1, 10**200), 16: Fraction(-1, 10**200)})
+    assert exact.norm2() == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    assert TrigPolynomial({4: 10**200}).norm2() == 1e200
+    with pytest.raises(ResourceError, match="L\\^2 norm"):
+        TrigPolynomial({4: 10**400}).norm2()
 
 
 # --- cosine products and Riesz weights ------------------------------------

@@ -27,7 +27,8 @@ from lacuna import (
     shift_sum_bulk,
     walsh_eval,
 )
-from lacuna.walsh import _krawtchouk, _log_quotient, _nearest_root
+from lacuna.engine import _CellSpace
+from lacuna.walsh import _krawtchouk, _log_quotient, _max_scale, _nearest_root, _reversed_mask
 
 
 def oracle_digit(x: Fraction, k: int) -> int:
@@ -112,6 +113,14 @@ def test_dyadic_point_equality_across_scales():
     assert DyadicPoint.parse("3/8").as_fraction() == Fraction(3, 8)
 
 
+def test_dyadic_point_zero_float_and_foreign_equality():
+    assert DyadicPoint(0, 3) == DyadicPoint.zero()
+    assert hash(DyadicPoint(0, 3)) == hash(DyadicPoint.zero())
+    assert float(DyadicPoint(3, 3)) == 0.375
+    assert DyadicPoint(1, 1).__eq__(0.5) is NotImplemented
+    assert DyadicPoint(1, 1) != 0.5
+
+
 def test_dyadic_point_at_a_coarser_scale():
     coarse = DyadicPoint(4, 4).at_scale(2)
     assert (coarse.numerator, coarse.scale) == (1, 2)
@@ -141,6 +150,18 @@ def test_walsh_index_validation():
 
 
 # --- polynomials ----------------------------------------------------------
+
+
+def test_cell_masks_are_the_reversed_masks():
+    rng = np.random.default_rng(26)
+    supports = [[], [0], [0, 2], [1 << 24], [0, 2 + (1 << 24)]]
+    for scale in (1, 2, 5, 12, 20, 24):
+        values = 2 * rng.integers(0, 1 << scale, size=40)
+        supports.append(sorted({0, 1 << scale, *map(int, values)}))
+    for values in supports:
+        scale = _max_scale(values)
+        want = [_reversed_mask(m, scale) for m in values]
+        assert _CellSpace(values)._masks.tolist() == want, values
 
 
 def test_cell_values_match_evaluate():
