@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AliasingError, ResourceError
 from .lacunary import _as_exponent
-from .walsh import _max_scale
+from .walsh import _max_scale, _reversed_masks
 
 
 class _GridSpace:
@@ -95,12 +95,7 @@ class _CellSpace:
         self.freqs = list(values_m)
         scale = _require_cell_scale(_max_scale(self.freqs))
         self.size = 1 << scale
-        # walsh._reversed_mask for every value at once: cell index bit
-        # scale - k is binary digit k of the point, k = 1 .. scale
-        values = np.array(self.freqs, dtype=np.int64)
-        self._masks = np.zeros(len(values), dtype=np.int64)
-        for k in range(1, scale + 1):
-            self._masks |= (values >> k & 1) << (scale - k)
+        self._masks = _reversed_masks(self.freqs, scale)
 
     def values(self, vec) -> np.ndarray:
         cells = np.zeros(self.size, dtype=np.float64)

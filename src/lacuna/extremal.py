@@ -40,7 +40,7 @@ from .lacunary import (
 from .engine import _CellSpace, _GridSpace, _require_cell_scale
 from .trig import TrigPolynomial, _as_oversample, _exact_size, _grid_size, _next_smooth
 from .trig import _trig_rows
-from .walsh import WalshPolynomial, _full_shape, _krawtchouk_ratio, _scaled, _walsh_rows
+from .walsh import WalshPolynomial, _full_shape, _krawtchouk_ratio, _walsh_rows
 
 # the tangent part of a gradient this much smaller than the gradient is
 # roundoff: a seeded start that lands on a symmetric point, such as the
@@ -195,12 +195,12 @@ def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
     coeffs are read as the constructor of the support's kind reads them
     (``WalshPolynomial`` on a dyadic support, so they and the gradient
     are real, else ``TrigPolynomial``): keys as integers, zeros dropped,
-    a bad value an ``InvalidInputError``.  The vector is scaled by the
-    power of two of ``walsh._scaled`` and the gradient scaled back once.
-    Entries cover every index-set frequency, with absent coefficients
-    treated as zero.  A ``walsh_family`` is taken from (n, l), as in
-    every search entry point: past scale 24 it raises ``ResourceError``
-    before any value is built.
+    a bad value an ``InvalidInputError``.  Entries cover every index-set
+    frequency, with absent coefficients treated as zero; an exact
+    coefficient past the float range raises ``ResourceError``.  A
+    ``walsh_family`` is taken from (n, l), as in every search entry
+    point: past scale 24 it raises ``ResourceError`` before any value
+    is built.
     """
     p = _as_exponent(p, search=True)
     values, dyadic, shape = _support(index_set)
@@ -214,11 +214,15 @@ def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
     if not coeffs:
         raise UndefinedGradientError("gradient is undefined at the zero vector")
     space = _make_space(values, dyadic, ExtremalConfig.oversample, p)
-    scaled, e = _scaled([coeffs.get(m, 0) for m in values])
-    _, _, grad, scale = _power_state(space, np.array([space.dtype(c) for c in scaled]), p)
+    try:
+        vec = np.array([space.dtype(coeffs.get(m, 0.0)) for m in values])
+    except OverflowError:
+        raise ResourceError(
+            f"gradient at p={p:g} is not finite: a coefficient passes the float range"
+        ) from None
+    _, _, grad, scale = _power_state(space, vec, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.ldexp(np.float64(scale), e)
-        grad *= p * scale ** (p - 1)
+        grad *= p * np.float64(scale) ** (p - 1)
     if not np.isfinite(grad).all():
         raise ResourceError(
             f"gradient at p={p:g} is not finite: p * M^(p-1) with M = {scale:.6g}"

@@ -171,12 +171,17 @@ def _exponents_of(m: int) -> tuple[int, ...]:
     return WalshIndex.from_value(m).exponents
 
 
-def _reversed_mask(m: int, scale: int) -> int:
-    # cell index bit (scale - k) corresponds to binary digit k of the point
-    mask = 0
-    for k in _exponents_of(m):
-        mask |= 1 << (scale - k)
-    return mask
+def _reversed_masks(values_m: Sequence[int], scale: int) -> np.ndarray:
+    """Each value's digit mask with its digits reversed, as int64: cell
+    index bit scale - k is binary digit k of the point, k = 1 .. scale,
+    so scale must stay below 63."""
+    import numpy as np
+
+    values = np.array(values_m, dtype=np.int64)
+    masks = np.zeros(len(values), dtype=np.int64)
+    for k in range(1, scale + 1):
+        masks |= (values >> k & 1) << (scale - k)
+    return masks
 
 
 def _max_scale(values_m) -> int:
@@ -468,7 +473,7 @@ def shift_sum_bulk(
     if scale > 62:
         raise ResourceError("bulk shift sums are capped at scale 62; go scalar")
     a_bits = np.array([a.at_scale(scale).numerator for a in alphas], dtype=np.int64)
-    n_masks = np.array([_reversed_mask(n.value, scale) for n in ns], dtype=np.int64)
+    n_masks = _reversed_masks([n.value for n in ns], scale)
     orbit = list(_flip_orbit(DyadicPoint(0, scale), m.exponents))
     sub_masks = np.array([point.numerator for point, _ in orbit], dtype=np.int64)
     sub_signs = np.array([-1 if parity else 1 for _, parity in orbit], dtype=np.int64)

@@ -318,8 +318,8 @@ BAD_INPUTS = [
             ("walsh-nan", WALSH_PAIRS, {6: math.nan}),
         )
     ),
-    # an exact coefficient past the float range is scaled exactly, and the
-    # gradient, which is p-homogeneous, then overflows with a typed error
+    # an exact coefficient past the float range: the gradient, which is
+    # p-homogeneous, is past it too
     pytest.param(
         lambda: ratio_gradient({20: 10**400}, TRIG_PAIRS, 4), ResourceError, id="gradient-10^400"
     ),
@@ -330,6 +330,16 @@ BAD_INPUTS = [
             "trig-mass-1e200": lambda: TrigPolynomial({4: 1e200}).mass,
             "trig-mass-10^400": lambda: TrigPolynomial({4: 10**400}).mass,
             "walsh-norm-10^400": lambda: WalshPolynomial({6: 10**400, 10: 1.0}).norm2(),
+            # the replays read their masses through the same rule
+            "inverse-check-mass-1e200": lambda: inverse_parseval_check(
+                TrigPolynomial({20: 1e200}), FULL, TrigContext(SEQ, 2, d=1)
+            ),
+            "inverse-experiment-mass-1e200": lambda: inverse_bound_experiment(
+                {20: 1e200, 68: 0.5},
+                build_summation_matrix("prefix-of-rearrangement", order=[20, 68]),
+                FULL,
+                TrigContext(SEQ, 2, d=1),
+            ),
         }.items()
     ),
     pytest.param(lambda: DyadicPoint(8, 3), InvalidInputError, id="dyadic-point-8/2^3"),

@@ -28,7 +28,7 @@ from lacuna import (
     walsh_eval,
 )
 from lacuna.engine import _CellSpace
-from lacuna.walsh import _krawtchouk, _log_quotient, _max_scale, _nearest_root, _reversed_mask
+from lacuna.walsh import _krawtchouk, _log_quotient, _max_scale, _nearest_root, _reversed_masks
 
 
 def oracle_digit(x: Fraction, k: int) -> int:
@@ -153,6 +153,10 @@ def test_walsh_index_validation():
 
 
 def test_cell_masks_are_the_reversed_masks():
+    def reversed_mask(m, scale):
+        # cell index bit (scale - k) is binary digit k of the point
+        return sum(1 << (scale - k) for k in WalshIndex.from_value(m).exponents) if m else 0
+
     rng = np.random.default_rng(26)
     supports = [[], [0], [0, 2], [1 << 24], [0, 2 + (1 << 24)]]
     for scale in (1, 2, 5, 12, 20, 24):
@@ -160,8 +164,11 @@ def test_cell_masks_are_the_reversed_masks():
         supports.append(sorted({0, 1 << scale, *map(int, values)}))
     for values in supports:
         scale = _max_scale(values)
-        want = [_reversed_mask(m, scale) for m in values]
+        want = [reversed_mask(m, scale) for m in values]
         assert _CellSpace(values)._masks.tolist() == want, values
+    # shift_sum_bulk's masks reach scale 62
+    values = [2 * int(v) for v in rng.integers(0, 1 << 61, size=40)] + [1 << 62, 0]
+    assert _reversed_masks(values, 62).tolist() == [reversed_mask(m, 62) for m in values]
 
 
 def test_cell_values_match_evaluate():
