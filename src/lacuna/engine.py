@@ -124,7 +124,10 @@ def _lp_norm(S, p: float, values) -> float:
         return 0.0
     if p == 2:
         return S.norm2()
-    mod = np.abs(values())
+    try:
+        mod = np.abs(values())
+    except OverflowError:  # a coefficient does, and ||S||_p >= max |c| at p >= 1
+        raise ResourceError(f"L^{p:g} norm passes the float range") from None
     top = float(mod.max())
     if top == 0.0:
         return 0.0

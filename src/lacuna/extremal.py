@@ -39,7 +39,7 @@ from .lacunary import (
 )
 from .engine import _CellSpace, _GridSpace, _require_cell_scale
 from .trig import TrigPolynomial, _as_oversample, _exact_size, _grid_size, _next_smooth
-from .trig import _trig_rows
+from .trig import _lattice, _trig_rows
 from .walsh import WalshPolynomial, _full_shape, _krawtchouk_ratio, _walsh_rows
 
 # the tangent part of a gradient this much smaller than the gradient is
@@ -56,7 +56,9 @@ class ExtremalConfig:
     oversample * (2 * degree + 1).  At even integer p = 2q, where the
     quadrature is exact on N > q * (max - min) points over the support's
     frequencies, the search takes the smallest 5-smooth such N above
-    2 * degree when that is smaller; the grid is never larger."""
+    2 * degree when that is smaller; the grid is never larger.  Degree,
+    max and min are those of the reduced support of ``trig._lattice``:
+    frequencies r + g * k are sized as the k."""
 
     restarts: int = 3
     max_iter: int = 150
@@ -176,15 +178,16 @@ def _support(family):
 
 
 def _make_space(values, dyadic: bool, oversample: int, p=None):
-    """The cells of a dyadic support, else the smallest 5-smooth grid at or
-    above oversample * (2 * degree + 1) points, or, given an exponent p,
-    the smaller exact grid of ``trig._exact_size`` where p is an even
-    integer."""
+    """The cells of a dyadic support, else the grid of its reduced
+    frequencies k (``trig._lattice``, in the order of values): the
+    smallest 5-smooth size at or above oversample * (2 * degree + 1)
+    points over the k, or, given an exponent p, the smaller exact grid of
+    ``trig._exact_size`` over the k where p is an even integer."""
     if dyadic:
         return _CellSpace(values)
-    degree = max(abs(m) for m in values)
-    size = _next_smooth(_grid_size(degree, oversample))
-    return _GridSpace(values, size if p is None else _exact_size(values, p, size))
+    freqs = _lattice(values)
+    size = _next_smooth(_grid_size(max(map(abs, freqs)), oversample))
+    return _GridSpace(freqs, size if p is None else _exact_size(freqs, p, size))
 
 
 def ratio_gradient(coeffs: dict, index_set: ChaosIndexSet, p: float) -> dict:
@@ -368,15 +371,17 @@ def maximize_ratio(index_set, p: float, config: ExtremalConfig | None = None):
     coefficient map run over its sorted indices generated from (n, l),
     and more than 2^24 of them raise ``ResourceError`` before any is.
 
-    Trig supports are searched on the smallest 5-smooth grid at or above
-    ``config.oversample * (2 * degree + 1)`` points, a fast FFT size.  At
-    even integer p = 2q the quadrature is exact on N > q * (max - min)
-    points, over the support's frequencies, and the search takes the
-    smallest 5-smooth such N above 2 * degree when that is smaller; the
-    grid is never larger.  For any other p a trig ratio carries a
-    quadrature error that the result does not report (about 4e-8
-    relative at p = 3 on the first-order family of
-    ``geometric_sequence(2, 8)``).
+    A trig support whose frequencies all lie on r + g * k is searched on
+    the grid of the k (``trig._lattice``), which has the same ratios and
+    gradients and is g times smaller.  That grid is the smallest 5-smooth
+    one at or above ``config.oversample * (2 * degree + 1)`` points over
+    the k, a fast FFT size.  At even integer p = 2q the quadrature is
+    exact on N > q * (max - min) points over the k, and the search takes
+    the smallest 5-smooth such N above 2 * degree when that is smaller;
+    the grid is never larger.  For any other p a trig ratio carries a
+    quadrature error that the result does not report: at p = 3 on the
+    first-order family of ``geometric_sequence(2, 8)`` the best ratio
+    reads 1.3e-9 relative below its value at ``oversample=64``.
     """
     p = _as_exponent(p, search=True)
     config = config or ExtremalConfig()
@@ -542,8 +547,8 @@ def blowup_probe(
     consecutive frequencies form a Dirichlet kernel, whose slope tends
     to 1/2 - 1/p.  The trend is reported, never asserted: divergence at
     the threshold is a limit statement.  A control grid above 2^24
-    points, sized at p as its searches size it, raises ``ResourceError``
-    before any search runs.
+    points, sized at p on the reduced support as its searches size it,
+    raises ``ResourceError`` before any search runs.
     """
     l = _as_order(l)
     p = _as_exponent(p, search=True)

@@ -10,6 +10,7 @@ and Walsh-sign decoration of chaos sums.
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -105,6 +106,17 @@ def _as_oversample(oversample) -> int:
     return _as_int(oversample, 4, "oversample")
 
 
+def _lattice(freqs) -> list[int]:
+    """The frequencies k = (m - r) / g, in the order given, of a support
+    whose frequencies m all lie on r + g * Z: g the gcd of the gaps m - min
+    (1 for a single frequency), r = min mod g.  Then |S(x)| = |T(g x)| for
+    T on the k, so every L^p mean and gradient entry of S is T's."""
+    freqs = list(freqs)
+    low = min(freqs, default=0)
+    g = math.gcd(*(m - low for m in freqs)) or 1
+    return [(m - low % g) // g for m in freqs]
+
+
 def _grid_size(degree: int, oversample: int) -> int:
     """Points of the quadrature grid for a polynomial of the given degree."""
     return _as_oversample(oversample) * (2 * degree + 1)
@@ -113,8 +125,9 @@ def _grid_size(degree: int, oversample: int) -> int:
 def _exact_size(freqs, p, size: int) -> int:
     """``size``, or at even integer p a smaller grid that is still exact.
 
-    At p = 2q, |S|^p = S^q conj(S)^q has frequencies of modulus at most
-    q * (max - min) over the frequencies of S, and |S|^(p-2) S lands
+    S is the polynomial on freqs, which both callers reduce first
+    (``_lattice``).  At p = 2q, |S|^p = S^q conj(S)^q has frequencies of
+    modulus at most q * (max - min) over freqs, and |S|^(p-2) S lands
     within that distance of every frequency of S.  So on N > q * (max -
     min) points the grid mean of |S|^p is exact and the adjoint of
     |S|^(p-2) S aliases onto no frequency of S.  The smallest 5-smooth N
@@ -146,18 +159,22 @@ def _next_smooth(n: int) -> int:
 def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
     """L^p norm over [0, 1), finite p >= 1, by uniform-grid quadrature.
 
+    Frequencies r + g * k are reduced to the k (``_lattice``), which
+    leaves the norm unchanged; degree, max and min below are the k's.
     The grid has oversample * (2*degree + 1) points.  At even integer
-    p = 2q the quadrature is exact on N > q * (max - min) points, over
-    the frequencies of S, and the grid is the smallest 5-smooth such N
-    above 2 * degree when that is smaller; it is never larger.  p == 2
-    bypasses the grid and returns the exact Parseval value.
+    p = 2q the quadrature is exact on N > q * (max - min) points, and
+    the grid is the smallest 5-smooth such N above 2 * degree when that
+    is smaller; it is never larger.  p == 2 bypasses the grid and
+    returns the exact Parseval value.  A coefficient past the float
+    range raises ``ResourceError``: the norm, at least |c|, is past it.
     """
     from .engine import _GridSpace, _lp_norm
 
-    N = _grid_size(S.degree, oversample)
+    freqs = _lattice(S.coefficients)
+    N = _grid_size(max(map(abs, freqs), default=0), oversample)
 
     def values():
-        space = _GridSpace(S.coefficients, _exact_size(S.coefficients, p, N))
+        space = _GridSpace(freqs, _exact_size(freqs, p, N))
         return space.values([complex(c) for c in S.coefficients.values()])
 
     return _lp_norm(S, p, values)
@@ -173,7 +190,7 @@ def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
     support is every order-l index over its digit positions, the norm
     is the L^2 norm times the Krawtchouk-sum ratio of
     ``walsh._krawtchouk_ratio``: no cells are built, so no cell cap
-    applies.
+    applies.  A coefficient past the float range raises ``ResourceError``.
     """
     from .engine import _cell_values, _lp_norm
 

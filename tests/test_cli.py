@@ -317,6 +317,9 @@ def test_malformed_input_file_is_2_with_payload(capsys, tmp_path, argv, data):
 
 # a trig key past the float range
 BIG_KEY_POLY = {"coefficients": [{"freq": 10**400, "re": 1.0}, {"freq": 1, "re": 1.0}]}
+# ... with a third key, so that its gaps have gcd 1 and the grid of the
+# reduced support (trig._lattice) is still past the cap
+BIG_SPAN_POLY = {"coefficients": [*BIG_KEY_POLY["coefficients"], {"freq": 2, "re": 1.0}]}
 # a coefficient past the float range: a 401-digit JSON integer, and a
 # JSON float that parses to inf
 BIG_COEFF_POLY = {"coefficients": [{"freq": 4, "re": 10**400}, {"freq": 16, "re": 1.0}]}
@@ -391,7 +394,7 @@ _INVERSE_TRIG = [
             "resource-limit", id="energy-key-10^400",
         ),
         pytest.param(
-            ["norm", "--kind", "trig", "--p", "4", "--poly"], BIG_KEY_POLY,
+            ["norm", "--kind", "trig", "--p", "4", "--poly"], BIG_SPAN_POLY,
             "resource-limit", id="norm-key-10^400",
         ),
         pytest.param(
@@ -413,6 +416,15 @@ def test_out_of_domain_input_is_2_with_payload(capfd, tmp_path, argv, poly, kind
     assert (code, out) == (2, "")
     payload = json.loads(err)
     assert payload["error"] == kind, payload
+
+
+def test_norm_of_two_far_keys_is_exact(capsys, tmp_path):
+    """Keys 1 and 10^400 lie on 1 + (10^400 - 1) Z, which reduces them to
+    0 and 1: |1 + e(x)| has L^4 norm 6^(1/4) on a 3-point grid."""
+    poly = write_poly(tmp_path, "poly.json", BIG_KEY_POLY)
+    code, out, _ = run_cli(capsys, "norm", "--kind", "trig", "--p", "4", "--poly", poly)
+    assert (code, out.strip()) == (0, "1.5650845800732873")
+    assert float(out) == 6**0.25
 
 
 def test_resource_guard_is_2(capsys):

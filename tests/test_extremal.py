@@ -12,10 +12,12 @@ from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
-from math import gamma, pi, sqrt
+from math import gamma, gcd, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacuna import (
     ChaosFamily,
@@ -28,6 +30,7 @@ from lacuna import (
     InvalidOrderError,
     InvalidSequenceError,
     InvalidSupportError,
+    LacunarySequence,
     ResourceError,
     SignedRepresentation,
     TrigPolynomial,
@@ -40,6 +43,7 @@ from lacuna import (
     geometric_sequence,
     growth_exponent,
     khintchine_ratio,
+    lp_norm_trig,
     maximize_ratio,
     ratio_gradient,
     representations,
@@ -47,7 +51,7 @@ from lacuna import (
     walsh_family,
 )
 from lacuna import extremal, lacunary
-from lacuna.engine import _CellSpace
+from lacuna.engine import _CellSpace, _GridSpace
 from lacuna.extremal import RunSummary, _power_state
 from lacuna.walsh import _full_shape, _krawtchouk_ratio
 
@@ -500,11 +504,12 @@ def test_trig_search_grid_is_five_smooth():
     from lacuna.extremal import _make_space
 
     values = trig_family(geometric_sequence(2, 11), 1).index_set().values()
-    # 8 * (2 * 2048 + 1) = 32776 = 2^3 * 17 * 241 rounds up to 3^8 * 5
-    assert _make_space(values, False, 8).size == 32805
-    # at even p the exact grid on keys 2..2048: N > (p / 2) * 2046 and
-    # N > 4096, rounded up to 5-smooth, when under the oversample one
-    sizes = {4: 4320, 8: 8192, 16: 16384, 32: 32768, 3: 32805, 64: 32805, 6.5: 32805}
+    # keys 2..2048 are 2k, so the grid is sized on k = 1..1024:
+    # 8 * (2 * 1024 + 1) = 16392 = 2^3 * 3 * 683 rounds up to 3^3 * 5^4
+    assert _make_space(values, False, 8).size == 16875
+    # at even p the exact grid on k = 1..1024: N > (p / 2) * 1023 and
+    # N > 2048, rounded up to 5-smooth, when under the oversample one
+    sizes = {4: 2160, 8: 4096, 16: 8192, 32: 16384, 3: 16875, 64: 16875, 6.5: 16875}
     for p, want in sizes.items():
         assert _make_space(values, False, 8, p).size == want, p
     rng = np.random.default_rng(3)
@@ -512,6 +517,80 @@ def test_trig_search_grid_is_five_smooth():
         keys = sorted(set(rng.integers(-5000, 5000, size=int(rng.integers(1, 9))).tolist()))
         for p in (3, 4, 6, 8, 16, 32, 64):
             assert _make_space(keys, False, 8, p).size <= _make_space(keys, False, 8).size
+
+
+def test_lattice_keeps_gcd_one_grids_and_never_grows_one():
+    """A support whose gaps have gcd 1 is its own reduction and gets the
+    grid of the unreduced rule; any other gets a grid no larger."""
+    from lacuna.extremal import _make_space
+    from lacuna.trig import _exact_size, _grid_size, _lattice, _next_smooth
+
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        g = int(rng.integers(1, 13))
+        ks = rng.integers(-400, 400, size=int(rng.integers(1, 10)))
+        keys = sorted(set((int(rng.integers(0, g)) + g * ks).tolist()))
+        unreduced = _next_smooth(_grid_size(max(map(abs, keys)), 8))
+        coprime = gcd(*(m - keys[0] for m in keys)) <= 1
+        assert (_lattice(keys) == keys) == coprime
+        for p in (None, 3, 4, 6, 8, 16, 32, 64):
+            want = unreduced if p is None else _exact_size(keys, p, unreduced)
+            size = _make_space(keys, False, 8, p).size
+            assert size == want if coprime else size <= want, (keys, p)
+
+
+def _unreduced_grid(keys, p):
+    """The grid of keys themselves, exact at even p: N > (p / 2) * span and
+    N > 2 * degree."""
+    return _GridSpace(keys, int(p) // 2 * (max(keys) - min(keys)) + 2 * max(keys) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 11),
+    st.lists(st.integers(1, 40), min_size=1, max_size=9, unique=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_support_on_a_lattice_reads_as_its_quotient(g, r, ks, seed):
+    """S on r + g * k has |S(x)| = |T(g x)| for T on the k: its norms,
+    best ratios and gradient entries are T's, and the unreduced exact
+    grid of S's own keys agrees."""
+    r %= g
+    keys = sorted(r + g * k for k in ks)
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    coeffs = dict(zip(keys, vec.tolist()))
+    quotient = {(m - r) // g: c for m, c in coeffs.items()}
+    # translated by -25 g, so that some keys are negative
+    shifted = TrigPolynomial({m - 25 * g: c for m, c in coeffs.items()})
+    support, quotient_support = (
+        enumerate_index_set(LacunarySequence(sorted(terms), 1), 1, "positive")
+        for terms in (keys, quotient)
+    )
+    config = ExtremalConfig(restarts=2, max_iter=30)
+    for p in (4, 6, 8, 16):
+        space = _unreduced_grid(keys, p)
+        v = space.values(vec)
+        norm = float(np.mean(np.abs(v) ** p)) ** (1 / p)
+        for poly in (TrigPolynomial(coeffs), TrigPolynomial(quotient), shifted):
+            assert lp_norm_trig(poly, p) == pytest.approx(norm, rel=1e-12), p
+
+        best = maximize_ratio(support, p, config)
+        assert best.ratio == pytest.approx(
+            maximize_ratio(quotient_support, p, config).ratio, rel=1e-12
+        )
+        u = np.abs(space.values([best.coefficients[m] for m in keys]))
+        want = float(np.mean(u**p)) ** (1 / p) / float(np.mean(u**2)) ** 0.5
+        assert best.ratio == pytest.approx(want, rel=1e-12), p
+
+        grad = ratio_gradient(coeffs, support, p)
+        grad_quotient = ratio_gradient(quotient, quotient_support, p)
+        ref = p * space.adjoint_mean(np.abs(v) ** (p - 2) * v)
+        tol = 1e-12 * float(np.abs(ref).max())
+        for m, want_m in zip(keys, ref):
+            assert grad[m] == pytest.approx(grad_quotient[(m - r) // g], rel=1e-12, abs=tol)
+            assert grad[m] == pytest.approx(want_m, rel=1e-12, abs=tol), (m, p)
 
 
 def test_extremal_trig_runs_keep_their_iterations_and_stop_reasons():
@@ -715,15 +794,16 @@ def test_blowup_critical_slope_exceeds_control_without_warning():
 
 
 def test_blowup_control_grid_cap_before_any_search(monkeypatch):
-    """At l = 2 and p = 4 the 400 smallest control sums, +-1.43e7 at
-    most, need a grid of 5.76e7 points."""
+    """At l = 2 and p = 4 the 500 smallest control sums, +-1.29e8 at
+    most, are multiples of 6; on their sixths the grid needs 8.6e7
+    points."""
 
     def search(*args):
         raise AssertionError("a search ran before the grid cap was checked")
 
     monkeypatch.setattr(extremal, "_maximize_over_values", search)
     with pytest.raises(ResourceError, match="2\\^24"):
-        blowup_probe(2, 4.0, [8, 400], seed=0)
+        blowup_probe(2, 4.0, [8, 500], seed=0)
 
 
 def test_blowup_cap_check_sizes_the_grid_as_its_searches_do(monkeypatch):

@@ -330,6 +330,10 @@ BAD_INPUTS = [
             "trig-mass-1e200": lambda: TrigPolynomial({4: 1e200}).mass,
             "trig-mass-10^400": lambda: TrigPolynomial({4: 10**400}).mass,
             "walsh-norm-10^400": lambda: WalshPolynomial({6: 10**400, 10: 1.0}).norm2(),
+            # ||S||_p >= max |c| for p >= 1, so the L^p norm is past it too
+            "trig-lp-4-10^400": lambda: lp_norm_trig(TrigPolynomial({4: 10**400, 16: 1}), 4),
+            "trig-lp-3-10^400": lambda: lp_norm_trig(TrigPolynomial({4: 10**400, 16: 1}), 3),
+            "walsh-lp-4-10^400": lambda: lp_norm_walsh(WalshPolynomial({6: 10**400, 10: 1}), 4),
             # the replays read their masses through the same rule
             "inverse-check-mass-1e200": lambda: inverse_parseval_check(
                 TrigPolynomial({20: 1e200}), FULL, TrigContext(SEQ, 2, d=1)
