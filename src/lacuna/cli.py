@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from .errors import InvalidInputError, LacunaError
 
@@ -210,13 +209,11 @@ def _sequence_from_args(args):
     from .lacunary import LacunarySequence, geometric_sequence
 
     if args.terms is not None:
-        terms = tuple(_parse_list(args.terms))
         if args.lam is None:
             raise InvalidInputError("--terms needs --lam (exact rational witness)")
-        return LacunarySequence(terms, lam=Fraction(args.lam))
+        return LacunarySequence(_parse_list(args.terms), lam=args.lam)
     if args.ratio is not None and args.length is not None:
-        lam = Fraction(args.lam) if args.lam is not None else None
-        return geometric_sequence(args.ratio, args.length, lam=lam)
+        return geometric_sequence(args.ratio, args.length, lam=args.lam)
     raise InvalidInputError("supply --terms with --lam, or --ratio with --length")
 
 
@@ -264,7 +261,7 @@ def _run_lambda(args):
 def _run_validate(args):
     from .lacunary import validate_lacunary
 
-    return validate_lacunary(_parse_list(args.terms), Fraction(args.lam))
+    return validate_lacunary(_parse_list(args.terms), args.lam)
 
 
 @_command("enumerate", *_SEQUENCE, _L, _VARIANT)

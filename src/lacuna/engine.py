@@ -13,13 +13,13 @@ so the integer commands of the CLI never load numpy.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AliasingError, ResourceError
 from .lacunary import _as_exponent
-from .walsh import _max_scale, _reversed_masks
+from .walsh import _max_scale, _reversed_masks, _scaled, _unscale
 
 
 class _GridSpace:
@@ -109,27 +109,20 @@ class _CellSpace:
         return work[self._masks] / self.size
 
 
-def _cell_values(coefficients: Mapping[int, float]) -> np.ndarray:
-    """A Walsh coefficient map's values on its 2**max_scale cells."""
-    vec = np.array(list(coefficients.values()), dtype=np.float64)
-    return _CellSpace(coefficients).values(vec)
-
-
-def _lp_norm(S, p: float, values) -> float:
+def _lp_norm(S, p: float, space) -> float:
     """0 for the zero polynomial, Parseval at p == 2, else mean(|v|^p)^(1/p)
-    over v = values() as M mean((|v|/M)^p)^(1/p), M = max |v|, so that no
-    power overflows at large p or large values."""
+    over the values v on ``space()`` of the coefficients scaled by 2**-e
+    (``walsh._scaled``), times 2**e (``walsh._unscale``).  The largest
+    scaled part lies in [1/4, 1), and Parseval (sum |v|^2 = N sum |c|^2)
+    puts M = max |v| at 1/4 or above; the mean is M mean((|v|/M)^p)^(1/p),
+    so no power overflows at large p or large values."""
     p = _as_exponent(p)
     if not S.coefficients:
         return 0.0
     if p == 2:
         return S.norm2()
-    try:
-        mod = np.abs(values())
-    except OverflowError:  # a coefficient does, and ||S||_p >= max |c| at p >= 1
-        raise ResourceError(f"L^{p:g} norm passes the float range") from None
+    vec, e = _scaled(S.coefficients.values())
+    mod = np.abs(space().values(vec))
     top = float(mod.max())
-    if top == 0.0:
-        return 0.0
     mod /= top
-    return top * float(np.mean(mod**p)) ** (1.0 / p)
+    return _unscale(top * float(np.mean(mod**p)) ** (1.0 / p), e, f"L^{p:g} norm")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, ResourceError
 from .lacunary import _as_fraction, _as_int, _as_key
 from .trig import TrigPolynomial
-from .walsh import WalshPolynomial
+from .walsh import WalshPolynomial, _scaled, _unscale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -72,11 +72,10 @@ class IntervalSet:
             return cls.empty()
         pieces = []
         for chunk in text.split(","):
-            try:
-                a_str, b_str = chunk.split(":")
-                pieces.append((Fraction(a_str.strip()), Fraction(b_str.strip())))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidInputError(f"bad interval chunk {chunk!r}") from exc
+            ends = chunk.split(":")
+            if len(ends) != 2:
+                raise InvalidInputError(f"bad interval chunk {chunk!r}")
+            pieces.append(ends)
         return cls(pieces)
 
     @property
@@ -202,7 +201,8 @@ def _trig_prefix_energies(coefficients: dict, E: IntervalSet) -> list[float]:
     form Phi_ts = phi_E(t - s): 2 Re sum_{k<j} c_j Phi_jk conj(c_k) +
     |E| |c_j|^2 (c_j, not its conjugate, on the left: the other way is
     the energy of S(-x) on -E).  Only the lower triangle is built, in
-    blocks of _BLOCK rows, so memory is O(_BLOCK n).
+    blocks of _BLOCK rows, so memory is O(_BLOCK n).  The sum runs at
+    the scale of ``walsh._scaled``; each entry is scaled back by 4**e.
     """
     import numpy as np
 
@@ -217,7 +217,8 @@ def _trig_prefix_energies(coefficients: dict, E: IntervalSet) -> list[float]:
     # and only the difference is rounded to float
     key_col = np.array(keys, dtype=object)
     measure = float(E.measure)
-    c = np.array([complex(coefficients[k]) for k in keys])
+    scaled, e = _scaled(coefficients.values())
+    c = np.array(scaled, dtype=complex)
     gains = [np.zeros(1)]
     for lo in range(0, len(c), _BLOCK):
         hi = min(lo + _BLOCK, len(c))
@@ -227,17 +228,20 @@ def _trig_prefix_energies(coefficients: dict, E: IntervalSet) -> list[float]:
         phi = (signed[lo:hi] @ conj_t[:, :hi]) / np.where(d == 0, 1.0, d) / (2j * np.pi)
         cross = c[lo:hi] * (np.tril(phi, lo - 1) @ c[:hi].conj())
         gains.append(2 * cross.real + measure * np.abs(c[lo:hi]) ** 2)
-    return np.cumsum(np.concatenate(gains)).tolist()
+    return [_unscale(x, 2 * e, "energy") for x in np.cumsum(np.concatenate(gains)).tolist()]
 
 
-def _walsh_energy(cell_values, scale: int, E: IntervalSet) -> float:
+def _walsh_energy(S: WalshPolynomial, E: IntervalSet) -> float:
     # Per interval: the two partial end cells, plus one pairwise numpy sum
     # over the whole cells between them, so each piece is summed from its
-    # own start and nothing cancels.
+    # own start and nothing cancels; all at the scale of walsh._scaled.
     import numpy as np
 
-    n = 1 << scale
-    sq = np.square(cell_values)
+    from .engine import _CellSpace
+
+    scaled, e = _scaled(S.coefficients.values())
+    n = 1 << S.max_scale
+    sq = np.square(_CellSpace(S.coefficients).values(scaled))
     total = 0.0
     for a, b in E.intervals:
         i, j = math.floor(a * n), math.floor(b * n)
@@ -247,7 +251,7 @@ def _walsh_energy(cell_values, scale: int, E: IntervalSet) -> float:
         total += sq[i] * float(Fraction(i + 1, n) - a) + sq[i + 1 : j].sum() / n
         if j < n:
             total += sq[j] * float(b - Fraction(j, n))
-    return float(total)
+    return _unscale(float(total), 2 * e, "energy")
 
 
 def energy_on_set(S, E: IntervalSet) -> float:
@@ -274,9 +278,12 @@ def energy_on_set(S, E: IntervalSet) -> float:
     exact cell/E overlaps, with the whole cells of each interval summed
     pairwise (relative error of order log2(cells) ulps, since every term
     is nonnegative); past scale 24 the cells raise ``ResourceError``.
+    Both kinds sum the coefficients at the mass's scale 2**-e
+    (``walsh._scaled``) and scale back by 4**e once: an energy past the
+    float range raises ``ResourceError`` naming the energy.
     """
     if isinstance(S, TrigPolynomial):
         return _trig_prefix_energies(S.coefficients, E)[-1]
     if isinstance(S, WalshPolynomial):
-        return _walsh_energy(S.cell_values(), S.max_scale, E)
+        return _walsh_energy(S, E)
     raise InvalidInputError("energy_on_set expects a trig or Walsh polynomial")

@@ -32,7 +32,7 @@ from .lacunary import (
     _ratio_violation,
 )
 from .walsh import DyadicPoint, WalshPolynomial, _compact_digits, _full_shape, _sign
-from .walsh import _krawtchouk_ratio, _mass, _norm
+from .walsh import _krawtchouk_ratio, _mass, _norm, _scaled, _unscale
 
 
 @dataclass(frozen=True)
@@ -165,19 +165,17 @@ def lp_norm_trig(S: TrigPolynomial, p: float, oversample: int = 8) -> float:
     p = 2q the quadrature is exact on N > q * (max - min) points, and
     the grid is the smallest 5-smooth such N above 2 * degree when that
     is smaller; it is never larger.  p == 2 bypasses the grid and
-    returns the exact Parseval value.  A coefficient past the float
-    range raises ``ResourceError``: the norm, at least |c|, is past it.
+    returns the exact Parseval value.  The grid takes the coefficients
+    scaled as in ``engine._lp_norm``: a norm past the float range raises
+    ``ResourceError``, and a non-trig ``S`` ``InvalidInputError``.
     """
     from .engine import _GridSpace, _lp_norm
 
+    if not isinstance(S, TrigPolynomial):
+        raise InvalidInputError("lp_norm_trig expects a trig polynomial")
     freqs = _lattice(S.coefficients)
     N = _grid_size(max(map(abs, freqs), default=0), oversample)
-
-    def values():
-        space = _GridSpace(freqs, _exact_size(freqs, p, N))
-        return space.values([complex(c) for c in S.coefficients.values()])
-
-    return _lp_norm(S, p, values)
+    return _lp_norm(S, p, lambda: _GridSpace(freqs, _exact_size(freqs, p, N)))
 
 
 def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
@@ -190,16 +188,21 @@ def lp_norm_walsh(S: WalshPolynomial, p: float) -> float:
     support is every order-l index over its digit positions, the norm
     is the L^2 norm times the Krawtchouk-sum ratio of
     ``walsh._krawtchouk_ratio``: no cells are built, so no cell cap
-    applies.  A coefficient past the float range raises ``ResourceError``.
+    applies.  Either way the coefficients are scaled as in
+    ``engine._lp_norm``: a norm past the float range raises
+    ``ResourceError``, and a non-Walsh ``S`` ``InvalidInputError``.
     """
-    from .engine import _cell_values, _lp_norm
+    from .engine import _CellSpace, _lp_norm
 
+    if not isinstance(S, WalshPolynomial):
+        raise InvalidInputError("lp_norm_walsh expects a Walsh polynomial")
     p = _as_exponent(p)
     if p != 2 and len(set(S.coefficients.values())) == 1:
         shape = _full_shape(list(S.coefficients))
         if shape is not None:
-            return _krawtchouk_ratio(*shape, p) * S.norm2()
-    return _lp_norm(S, p, lambda: _cell_values(_compact_digits(S.coefficients)))
+            vec, e = _scaled(S.coefficients.values())
+            return _unscale(_krawtchouk_ratio(*shape, p) * _norm(vec), e, f"L^{p:g} norm")
+    return _lp_norm(S, p, lambda: _CellSpace(list(_compact_digits(S.coefficients))))
 
 
 def khintchine_ratio(S, p: float) -> float:

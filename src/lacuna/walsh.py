@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, InvalidOrderError, ResourceError
-from .lacunary import _as_int, _as_key
+from .lacunary import _as_fraction, _as_int, _as_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,7 +74,9 @@ class DyadicPoint:
 
     @classmethod
     def from_fraction(cls, value) -> "DyadicPoint":
-        fr = Fraction(value)
+        """The dyadic rational value in [0, 1), read by the rational rule
+        ``lacunary._as_fraction``, as a Fraction, int, float or "3/8"."""
+        fr = _as_fraction(value)
         if not 0 <= fr < 1:
             raise InvalidInputError(f"point {fr} is outside [0, 1)")
         den = fr.denominator
@@ -85,10 +87,8 @@ class DyadicPoint:
 
     @classmethod
     def parse(cls, text: str) -> "DyadicPoint":
-        try:
-            return cls.from_fraction(Fraction(text.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"bad dyadic point {text!r}") from exc
+        """``from_fraction`` of the stripped text."""
+        return cls.from_fraction(text.strip())
 
     def at_scale(self, scale: int) -> "DyadicPoint":
         scale = _as_int(scale, 0, "scale")
@@ -389,9 +389,9 @@ class WalshPolynomial:
 
     def cell_values(self) -> np.ndarray:
         """Values on the 2**max_scale cells, via the fast transform."""
-        from .engine import _cell_values
+        from .engine import _CellSpace
 
-        return _cell_values(self.coefficients)
+        return _CellSpace(self.coefficients).values(list(self.coefficients.values()))
 
     @property
     def mass(self) -> float:

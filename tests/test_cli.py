@@ -7,7 +7,9 @@ tmp_path, and the rerun tests compare raw bytes, not parsed content.
 
 import json
 import os
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -38,39 +40,27 @@ TRIG_POLY = {
 }
 
 
-# the README's CLI lines by subcommand, in README order; "poly.json"
-# stands for the Walsh or trig file the line's --kind needs
-README_LINES = {
-    "lambda": ["--l", "3"],
-    "validate": ["--terms", "2,4,8", "--lam", "3"],
-    "enumerate": ["--terms", "4,16,64", "--lam", "3", "--l", "2"],
-    "reps": ["--terms", "4,16,64", "--lam", "3", "--m", "12", "--l", "2"],
-    "heads": ["--terms", "4,16,64", "--lam", "3", "--l", "2"],
-    "counterexample": ["--l", "2", "--m-max", "20"],
-    "walsh-shift": ["--n", "6", "--m", "6", "--alpha", "0/1"],
-    "find-alpha": ["--set", "0/1:4/5", "--exponents", "2,1"],
-    "recover": ["--poly", "poly.json", "--m", "6", "--alpha", "3/8"],
-    "norm": ["--poly", "poly.json", "--kind", "walsh", "--p", "4"],
-    "ratio": ["--poly", "poly.json", "--kind", "walsh", "--p", "4"],
-    "riesz": ["--freqs", "4,16,64"],
-    "project": ["--m", "12", "--freqs", "4,16"],
-    "energy": ["--poly", "poly.json", "--kind", "trig", "--set", "0/1:1/2"],
-    "inverse-check": [
-        "--poly", "poly.json", "--kind", "trig", "--set", "0/1:63/64",
-        "--terms", "4,16,64,256", "--lam", "3", "--l", "2", "--d", "1",
-    ],
-    "matrix-experiment": [
-        "--coeffs", "poly.json", "--kind", "trig", "--set", "0/1:1/1",
-        "--terms", "4,16,64,256", "--lam", "3", "--l", "2", "--d", "1",
-        "--matrix-kind", "prefix-of-rearrangement", "--order", "20,68",
-    ],
-    "extremal": ["--family", "walsh", "--l", "2", "--exponent-budget", "6", "--p", "4"],
-    "growth": [
-        "--family", "walsh", "--l", "2", "--exponent-budget", "8",
-        "--p-list", "4,8,16,32", "--format", "csv",
-    ],
-    "blowup": ["--l", "2", "--p", "4", "--degree-list", "2,4,8"],
-}
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_lines() -> tuple[dict, dict]:
+    """The README's CLI block as {subcommand: its argv} in README order,
+    ``\\`` continuations joined, and {subcommand: its trailing comment}."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines, comments = {}, {}
+    for text in block.replace("\\\n", " ").splitlines():
+        command, _, comment = text.partition("#")
+        program, name, *args = shlex.split(command)
+        assert program == "lacuna" and name not in lines, text
+        lines[name] = args
+        if comment.strip():
+            comments[name] = comment.strip()
+    return lines, comments
+
+
+# "poly.json" stands for the Walsh or trig file the line's --kind needs
+README_LINES, README_COMMENTS = _readme_lines()
 CSV_COMMANDS = ("matrix-experiment", "growth", "blowup")
 
 
@@ -83,6 +73,16 @@ def readme_argv(tmp_path, name):
 
 
 # --- scalar commands ------------------------------------------------------
+
+
+def test_readme_scalar_lines_print_their_trailing_values(capsys, tmp_path):
+    from lacuna.cli import _COMMANDS
+
+    scalar = [name for name in README_COMMENTS if _COMMANDS[name][2]]
+    assert scalar == ["lambda", "walsh-shift", "find-alpha", "project"]
+    for name in scalar:
+        code, out, err = run_cli(capsys, *readme_argv(tmp_path, name))
+        assert (code, out, err) == (0, README_COMMENTS[name] + "\n", ""), name
 
 
 def test_lambda_prints_correctly_rounded_constant(capsys):
@@ -388,6 +388,19 @@ _INVERSE_TRIG = [
         pytest.param(
             ["project", "--m", "4", "--freqs", "4,4"], None,
             "invalid-input", id="project-freq-repeated",
+        ),
+        # --lam goes to the library's one rational rule, lacunary._as_fraction
+        pytest.param(
+            ["validate", "--terms", "2,4,8", "--lam", "1/0"], None,
+            "invalid-input", id="validate-lam-1/0",
+        ),
+        pytest.param(
+            ["enumerate", "--terms", "4,16,64", "--lam", "1/0", "--l", "2"], None,
+            "invalid-input", id="enumerate-terms-lam-1/0",
+        ),
+        pytest.param(
+            ["enumerate", "--ratio", "4", "--length", "3", "--lam", "1/0", "--l", "2"], None,
+            "invalid-input", id="enumerate-ratio-lam-1/0",
         ),
         pytest.param(
             ["energy", "--kind", "trig", "--set", "0/1:1/3", "--poly"], BIG_KEY_POLY,

@@ -16,6 +16,7 @@ cases pin the helpers through the functions that call them.
 
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -348,11 +349,31 @@ BAD_INPUTS = [
     ),
     pytest.param(lambda: DyadicPoint(8, 3), InvalidInputError, id="dyadic-point-8/2^3"),
     pytest.param(lambda: DyadicPoint.parse("x"), InvalidInputError, id="dyadic-point-parse-x"),
+    # DyadicPoint reads its value by the one rational rule, too
+    *(
+        pytest.param(
+            lambda value=value: DyadicPoint.from_fraction(value),
+            InvalidInputError,
+            id=f"dyadic-point-from-fraction-{value!r}",
+        )
+        for value in (math.nan, math.inf, "x", "1/0", Decimal("0.5"), np.float32(0.5))
+    ),
     pytest.param(
         lambda: LacunarySequence([2, 8], 0), InvalidSequenceError, id="lacunary-witness-0"
     ),
     pytest.param(
         lambda: khintchine_ratio(TRIG.coefficients, 4), InvalidInputError, id="khintchine-dict"
+    ),
+    # each L^p entry point takes its own kind only: the trig norm of a
+    # Walsh polynomial read its keys as frequencies
+    *(
+        pytest.param(call, InvalidInputError, id=name)
+        for name, call in {
+            "trig-lp-of-walsh": lambda: lp_norm_trig(WalshPolynomial({6: 1.0, 10: 1.0}), 4),
+            "walsh-lp-of-trig": lambda: lp_norm_walsh(TrigPolynomial({6: 1.0, 10: 1j}), 4),
+            "trig-lp-of-dict": lambda: lp_norm_trig(TRIG.coefficients, 4),
+            "walsh-lp-of-dict": lambda: lp_norm_walsh(WALSH.coefficients, 4),
+        }.items()
     ),
     # 6 = 2 + 4 = 8 - 2 over the signed pair sums of 2, 4, 8, 16
     pytest.param(

@@ -7,6 +7,7 @@ by independent dense quadrature at a different grid size.
 
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from lacuna import (
     AliasingError,
     DyadicPoint,
+    IntervalSet,
     InvalidInputError,
     InvalidSupportError,
     ResourceError,
@@ -27,6 +29,7 @@ from lacuna import (
     cos_product_expand,
     decorate_with_walsh_signs,
     dyadic_sequence,
+    energy_on_set,
     enumerate_index_set,
     geometric_sequence,
     khintchine_ratio,
@@ -248,7 +251,7 @@ def test_walsh_lp_cells_number_two_to_the_distinct_digits():
 
 
 def test_walsh_lp_relabelled_digits_match_the_full_cells():
-    from lacuna.engine import _lp_norm
+    from lacuna.engine import _CellSpace, _lp_norm
     from lacuna.walsh import _compact_digits
 
     rng = np.random.default_rng(18)
@@ -261,13 +264,13 @@ def test_walsh_lp_relabelled_digits_match_the_full_cells():
             coeffs[sum(1 << int(k) for k in chosen)] = float(rng.standard_normal())
         poly = WalshPolynomial(coeffs)
         for p in (1, 3, 4, 7.5):
-            full = _lp_norm(poly, p, poly.cell_values)
+            full = _lp_norm(poly, p, lambda: _CellSpace(list(poly.coefficients)))
             assert lp_norm_walsh(poly, p) == pytest.approx(full, rel=1e-13), (coeffs, p)
     # digits already 1..n: the same map, so the norm is bit-identical
     coeffs = {6: 0.5, 10: -1.25, 12: 2.0, 18: 0.75, 20: -0.5, 24: 1.5}
     assert _compact_digits(coeffs) is coeffs
     poly = WalshPolynomial(coeffs)
-    assert lp_norm_walsh(poly, 3) == _lp_norm(poly, 3, poly.cell_values)
+    assert lp_norm_walsh(poly, 3) == _lp_norm(poly, 3, lambda: _CellSpace(list(coeffs)))
 
 
 def test_lp_norms_do_not_overflow_at_large_p():
@@ -338,6 +341,7 @@ def test_ratio_trig_chaos_respects_moment_bound():
 # pair sums of 4, 16, 64, 256 and order-2 indices over five digits
 TRIG_KEYS = (20, 68, 80, 260, 272, 320)
 WALSH_KEYS = (6, 10, 12, 18, 20, 24, 34, 36, 40, 48)
+SCALE_SETS = (IntervalSet.parse("0/1:1/3"), IntervalSet.parse("1/7:2/3,5/6:99/100"))
 _MAGNITUDE = st.floats(1e-3, 1e3)
 _REAL = st.tuples(_MAGNITUDE, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
 
@@ -380,7 +384,9 @@ def test_mass_and_norm_are_the_direct_sums_bit_for_bit():
 )
 def test_norm_and_ratio_are_scale_free_under_powers_of_two(trig, walsh, k):
     """t = 2^k with |k| up to 600: past 540 the unscaled squares of unit
-    coefficients overflow or underflow, and the scaled ones stay exact."""
+    coefficients overflow or underflow, and the scaled ones stay exact.
+    The L^p norms scale by t and the energies by t^2 bit for bit wherever
+    that is normal; an energy past the float range raises."""
     t = 2.0**k
     for S in (
         TrigPolynomial({m: complex(*c) for m, c in zip(TRIG_KEYS, trig)}),
@@ -389,6 +395,35 @@ def test_norm_and_ratio_are_scale_free_under_powers_of_two(trig, walsh, k):
         tS = type(S)({m: t * c for m, c in S.coefficients.items()})
         assert tS.norm2() == t * S.norm2()
         assert khintchine_ratio(tS, 4) == khintchine_ratio(S, 4)
+        lp_norm = lp_norm_trig if isinstance(S, TrigPolynomial) else lp_norm_walsh
+        for p in (3, 4):
+            assert lp_norm(tS, p) == t * lp_norm(S, p)
+        for E in SCALE_SETS:
+            try:
+                want = math.ldexp(energy_on_set(S, E), 2 * k)
+            except OverflowError:
+                with pytest.raises(ResourceError, match="energy"):
+                    energy_on_set(tS, E)
+                continue
+            if abs(want) >= sys.float_info.min:
+                assert energy_on_set(tS, E) == want
+
+
+def test_norms_and_energies_near_the_float_limit():
+    # the grid values reach 2e308, past the range; the norms do not
+    assert lp_norm_trig(TrigPolynomial({1: 1e308, 2: 1e308}), 4) == 1.5650845800732875e308
+    assert lp_norm_walsh(WalshPolynomial({6: 1e308, 10: 1e308}), 4) == 1.681792830507429e308
+    # an equal full family takes the Krawtchouk path at the same scale
+    full = {6: 2.0**1000, 10: 2.0**1000, 12: 2.0**1000}
+    unit = lp_norm_walsh(WalshPolynomial({m: 1.0 for m in full}), 4)
+    assert lp_norm_walsh(WalshPolynomial(full), 4) == 2.0**1000 * unit
+    with pytest.raises(ResourceError, match="L\\^4 norm"):
+        lp_norm_walsh(WalshPolynomial({m: 1e308 for m in full}), 4)
+    E = IntervalSet.parse("0/1:1/2")
+    for kind in (TrigPolynomial, WalshPolynomial):
+        for coeffs in ({4: 1e300, 16: 1e300}, {4: 10**400}):
+            with pytest.raises(ResourceError, match="energy"):
+                energy_on_set(kind(coeffs), E)
 
 
 def test_extreme_coefficients_keep_their_norms_and_ratios():
