@@ -3,6 +3,9 @@
 Everything goes through main() in-process with captured stdout/stderr;
 a tiny harness below keeps each case to one line.  File outputs land in
 tmp_path, and the rerun tests compare raw bytes, not parsed content.
+The README's CLI lines are read from README.md (``README_LINES``), and
+each scalar line's trailing comment is its output, so drift between the
+docs and the CLI fails the suite.
 """
 
 import json
